@@ -12,16 +12,19 @@ where t is the elapsed time since the preparation instant t0 and h_t is the
 instantaneous field on the quench clock at t0 + t.  The concurrence of the
 Bell-state register is
 
-    C(t) = max{0, [prod_delta cos(Theta_delta(t)/2)]^(2 S_d)},
+    C(t) = [prod_delta cos(Theta_delta(t)/2)]^(2 S_d),
 
 with Theta_delta the angle between the two branch-evolved directions of
 domain delta.
+
+The dynamics functions take a scalar t (returning a float) or an array of
+times; both run one batched kernel that performs, per time and domain, the
+same floating-point operations as building the branch rotors' ScsDirection
+objects and rotation matrices and rotating each domain's Bloch vector.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +32,13 @@ import numpy as np
 from .errors import ConfigError
 from .sampler import DomainEnsemble
 from .scaling import DomainPartition, QuenchSchedule, field_at, freeze_out_time
-from .scs import ScsDirection, apply_displacement, rotation_matrix
+from .scs import (
+    ScsDirection,
+    apply_displacement,
+    bloch_vectors,
+    omega_angles,
+    rotation_matrices,
+)
 
 __all__ = [
     "DiaConfig",
@@ -126,14 +135,16 @@ def validate_trace_span(cfg: DiaConfig, span: float) -> None:
         )
 
 
-def displacement_parameter(g: float, h_t: float, t: float) -> complex:
+def displacement_parameter(g: float, h_t, t):
     """Accumulated per-domain displacement f(t) = (g/h_t)(e^(i t h_t) - 1).
 
-    Its modulus obeys |f| = (2g/h_t) |sin(t h_t / 2)|.
+    Its modulus obeys |f| = (2g/h_t) |sin(t h_t / 2)|.  Complex for scalar
+    arguments, a complex array for arrays of fields and times.
     """
-    if h_t <= 0:
+    if np.any(np.asarray(h_t) <= 0):
         raise ValueError(f"instantaneous field must be positive, got h_t={h_t}")
-    return (g / h_t) * (cmath.exp(1j * t * h_t) - 1.0)
+    th = np.multiply(t, h_t)
+    return (g / h_t) * ((np.cos(th) - 1.0) + 1j * np.sin(th))
 
 
 def branch_direction(g: float, h_t: float, branch: int, t: float) -> ScsDirection:
@@ -148,29 +159,31 @@ def evolve_domain(initial: ScsDirection, rotor: ScsDirection) -> ScsDirection:
     return ScsDirection.from_bloch(apply_displacement(rotor, initial.bloch()))
 
 
-def _domain_half_angle_cosines(cfg: DiaConfig, t: float) -> np.ndarray:
-    """cos(Theta_delta/2) per domain for the +/- branch pair at elapsed t."""
-    h_t = field_at(cfg.schedule, cfg.t0 + t)
-    rot_plus = rotation_matrix(branch_direction(cfg.g, h_t, 1, t))
-    rot_minus = rotation_matrix(branch_direction(cfg.g, h_t, -1, t))
-    out = np.empty(len(cfg.ensemble.directions))
-    for i, d in enumerate(cfg.ensemble.directions):
-        n0 = d.bloch()
-        dot = float((rot_plus @ n0) @ (rot_minus @ n0))
-        out[i] = math.sqrt(min(1.0, max(0.0, 0.5 * (1.0 + dot))))
-    return out
-
-
-def branch_overlap(cfg: DiaConfig, t: float) -> float:
+def branch_overlap(cfg: DiaConfig, t):
     """Modulus of the ring overlap between branches, prod_d cos^(2 S_d)(Theta_d/2).
 
     Swapping the branch labels leaves this unchanged (the two branch states
-    trade places, conjugating the overlap).
+    trade places, conjugating the overlap).  A float for a scalar elapsed
+    time t, an array shaped like t otherwise.
     """
-    cosines = _domain_half_angle_cosines(cfg, t)
-    return float(np.prod(cosines ** (2.0 * cfg.partition.s_d)))
+    times = np.asarray(t, dtype=float)
+    flat = times.reshape(-1)
+    f = displacement_parameter(cfg.g, field_at(cfg.schedule, cfg.t0 + flat), flat)
+    # (time, 1, 3, 3) rotors against (domain, 3, 1) initial Bloch vectors
+    rot_plus = rotation_matrices(*omega_angles(f))[:, None]
+    rot_minus = rotation_matrices(*omega_angles(-f))[:, None]
+    dirs = cfg.ensemble.directions
+    n0 = bloch_vectors(np.array([d.theta for d in dirs]), np.array([d.phi for d in dirs]))
+    n0 = n0[:, :, None]
+    dot = (np.swapaxes(rot_plus @ n0, -1, -2) @ (rot_minus @ n0))[..., 0, 0]
+    cosines = np.sqrt(np.clip(0.5 * (1.0 + dot), 0.0, 1.0))
+    out = np.prod(cosines ** (2.0 * cfg.partition.s_d), axis=-1)
+    return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
 
 
-def concurrence(cfg: DiaConfig, t: float) -> float:
-    """Register concurrence max{0, [prod_d cos(Theta_d/2)]^(2 S_d)} at elapsed t."""
-    return max(0.0, branch_overlap(cfg, t))
+def concurrence(cfg: DiaConfig, t):
+    """Register concurrence [prod_d cos(Theta_d/2)]^(2 S_d) at elapsed t.
+
+    It equals :func:`branch_overlap`, which is never negative.
+    """
+    return branch_overlap(cfg, t)

@@ -10,19 +10,25 @@ with pi_gamma in {+1, 0, 0, -1} across the register basis.  For the Bell
 state only the +/- branches matter and the concurrence is the product of
 single-spin overlap moduli:
 
-    C(t) = max{0, cos^N(Theta(t)/2)},
+    C(t) = cos^N(Theta(t)/2),
 
 Theta(t) the angle between the two branch directions.  The motion is
 periodic with period 2*pi/h, so the concurrence revives fully there.
+
+The dynamics functions take a scalar t (returning a float) or an array of
+times; both run one batched kernel that performs, per time, the same
+floating-point operations as building the two ScsDirection objects and
+dotting their Bloch vectors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError
-from .scs import ScsDirection
+from .scs import ScsDirection, bloch_vectors, omega_angles
 
 __all__ = ["ParaConfig", "displacement_parameter", "branch_direction",
            "branch_overlap", "concurrence", "BRANCHES"]
@@ -62,9 +68,18 @@ class ParaConfig:
             )
 
 
-def displacement_parameter(cfg: ParaConfig, t: float) -> complex:
-    """Accumulated per-spin displacement l(t) = (g/h)(1 - e^(-i t h))."""
-    return (cfg.g / cfg.h) * (1.0 - complex(math.cos(cfg.h * t), -math.sin(cfg.h * t)))
+# Python's float ** int applied elementwise: np.power can differ from it in
+# the last bit.
+_POW = np.frompyfunc(pow, 2, 1)
+
+
+def displacement_parameter(cfg: ParaConfig, t):
+    """Accumulated per-spin displacement l(t) = (g/h)(1 - e^(-i t h)).
+
+    Complex for a scalar t, a complex array for an array of times.
+    """
+    ht = np.multiply(cfg.h, t)
+    return (cfg.g / cfg.h) * (1.0 - (np.cos(ht) - 1j * np.sin(ht)))
 
 
 def _check_branch(branch: int) -> int:
@@ -79,17 +94,24 @@ def branch_direction(cfg: ParaConfig, branch: int, t: float) -> ScsDirection:
     return ScsDirection.from_omega(branch * displacement_parameter(cfg, t))
 
 
-def _pair_half_angle_cos(cfg: ParaConfig, t: float) -> float:
-    """cos(Theta/2) for the angle Theta between the +/- branch directions."""
-    dot = float(branch_direction(cfg, 1, t).bloch() @ branch_direction(cfg, -1, t).bloch())
-    return math.sqrt(min(1.0, max(0.0, 0.5 * (1.0 + dot))))
+def branch_overlap(cfg: ParaConfig, t):
+    """Modulus of the ring-state overlap between the two branches, cos^N(Theta/2).
+
+    A float for a scalar t, an array shaped like t otherwise.
+    """
+    times = np.asarray(t, dtype=float)
+    ell = displacement_parameter(cfg, times.reshape(-1))
+    plus = bloch_vectors(*omega_angles(ell))
+    minus = bloch_vectors(*omega_angles(-ell))
+    dot = (plus[:, None, :] @ minus[:, :, None])[:, 0, 0]
+    cos_half = np.sqrt(np.clip(0.5 * (1.0 + dot), 0.0, 1.0))
+    out = _POW(cos_half, cfg.n).astype(float)
+    return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
 
 
-def branch_overlap(cfg: ParaConfig, t: float) -> float:
-    """Modulus of the ring-state overlap between the two branches, cos^N(Theta/2)."""
-    return _pair_half_angle_cos(cfg, t) ** cfg.n
+def concurrence(cfg: ParaConfig, t):
+    """Register concurrence cos^N(Theta(t)/2) for the Bell state.
 
-
-def concurrence(cfg: ParaConfig, t: float) -> float:
-    """Register concurrence max{0, cos^N(Theta(t)/2)} for the Bell state."""
-    return max(0.0, branch_overlap(cfg, t))
+    It equals :func:`branch_overlap`, which is never negative.
+    """
+    return branch_overlap(cfg, t)

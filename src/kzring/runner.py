@@ -148,27 +148,58 @@ class ScenarioConfig:
         )
 
 
+def _column(cells):
+    if isinstance(cells, np.ndarray) or not any(isinstance(v, str) for v in cells):
+        return np.asarray(cells, dtype=float)
+    return tuple(cells)
+
+
 class DataTable:
-    """Named columns over rows of floats/strings, with opaque metadata."""
+    """Named columns of floats/strings, with opaque metadata.
+
+    Columns are stored whole: a column of numbers as a float array, any
+    column holding a string as a tuple of its cells.  `rows` is derived.
+    """
 
     def __init__(self, columns, rows, metadata=None):
-        self.columns = tuple(str(c) for c in columns)
-        self.rows = [tuple(r) for r in rows]
-        for r in self.rows:
-            if len(r) != len(self.columns):
+        columns = tuple(columns)
+        rows = [tuple(r) for r in rows]
+        for r in rows:
+            if len(r) != len(columns):
                 raise ValueError("row width does not match the column count")
+        cells = list(zip(*rows)) if rows else [()] * len(columns)
+        self._store(columns, cells, metadata)
+
+    @classmethod
+    def from_columns(cls, columns, data, metadata=None) -> "DataTable":
+        """Build a table from one sequence of cells per column."""
+        columns = tuple(columns)
+        data = list(data)
+        if len(data) != len(columns) or len({len(c) for c in data}) > 1:
+            raise ValueError("columns must match the names and share one length")
+        table = cls.__new__(cls)
+        table._store(columns, data, metadata)
+        return table
+
+    def _store(self, columns, cells, metadata) -> None:
+        self.columns = tuple(str(c) for c in columns)
+        self.data = [_column(c) for c in cells]
         self.metadata = dict(metadata or {})
 
+    @property
+    def rows(self) -> list[tuple]:
+        return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.data)))
+
     def column(self, name: str) -> np.ndarray:
-        i = self.columns.index(name)
-        return np.array([float(r[i]) for r in self.rows])
+        return np.array(self.data[self.columns.index(name)], dtype=float)
 
     def isclose(self, other: "DataTable", rtol: float = 1e-11, atol: float = 1e-13) -> bool:
-        if self.columns != other.columns or len(self.rows) != len(other.rows):
+        rows, other_rows = self.rows, other.rows
+        if self.columns != other.columns or len(rows) != len(other_rows):
             return False
         if self.metadata != other.metadata:
             return False
-        for ra, rb in zip(self.rows, other.rows):
+        for ra, rb in zip(rows, other_rows):
             for a, b in zip(ra, rb):
                 if isinstance(a, str) or isinstance(b, str):
                     if str(a) != str(b):
@@ -259,18 +290,16 @@ def _time_grid(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def _run_para(cfg: ScenarioConfig) -> DataTable:
-    pc = _para_config(cfg)
-    rows = []
-    for t in _time_grid(cfg):
-        rows.append(
-            (float(t), para_mod.concurrence(pc, t), para_mod.branch_overlap(pc, t),
-             cfg.h_para)
-        )
+    grid = _time_grid(cfg)
+    conc = para_mod.concurrence(_para_config(cfg), grid)
     meta = _base_metadata(cfg)
     meta["regime"] = "paramagnetic closed form"
     return _validate_trace(
-        DataTable(("t_elapsed", "concurrence", "branch_overlap_modulus", "h_t"),
-                  rows, meta)
+        DataTable.from_columns(
+            ("t_elapsed", "concurrence", "branch_overlap_modulus", "h_t"),
+            (grid, conc, conc, np.full_like(grid, cfg.h_para)),
+            meta,
+        )
     )
 
 
@@ -300,37 +329,25 @@ def _run_dia(cfg: ScenarioConfig) -> tuple[DataTable, dict[str, DomainEnsemble]]
         if first_cfg is None:
             first_cfg = dc
         ensembles["dia" if r == 0 else f"dia_r{r}"] = dc.ensemble
-        conc = np.array([dia_mod.concurrence(dc, t) for t in grid])
-        over = np.array([dia_mod.branch_overlap(dc, t) for t in grid])
-        per_real.append((conc, over))
+        per_real.append(dia_mod.concurrence(dc, grid))
     assert first_cfg is not None
-    h_vals = np.array([field_at(first_cfg.schedule, first_cfg.t0 + t) for t in grid])
-    conc_all = np.stack([c for c, _ in per_real])
-    over_all = np.stack([o for _, o in per_real])
+    h_vals = field_at(first_cfg.schedule, first_cfg.t0 + grid)
     meta = _dia_metadata(cfg, first_cfg)
     if cfg.realizations == 1:
         columns = ("t_elapsed", "concurrence", "branch_overlap_modulus", "h_t")
-        rows = [
-            (float(t), float(conc_all[0, i]), float(over_all[0, i]), float(h_vals[i]))
-            for i, t in enumerate(grid)
-        ]
+        data = (grid, per_real[0], per_real[0], h_vals)
     else:
+        # Each time's realizations as one contiguous row: the mean then sums
+        # them pairwise, as over a 1-D slice, where a mean down axis 0 would
+        # add them one by one and round differently.
+        by_time = np.ascontiguousarray(np.stack(per_real, axis=1))
+        mean = by_time.mean(axis=1)
         columns = (
             "t_elapsed", "concurrence", "concurrence_min", "concurrence_max",
             "branch_overlap_modulus", "h_t",
         )
-        rows = [
-            (
-                float(t),
-                float(conc_all[:, i].mean()),
-                float(conc_all[:, i].min()),
-                float(conc_all[:, i].max()),
-                float(over_all[:, i].mean()),
-                float(h_vals[i]),
-            )
-            for i, t in enumerate(grid)
-        ]
-    return _validate_trace(DataTable(columns, rows, meta)), ensembles
+        data = (grid, mean, by_time.min(axis=1), by_time.max(axis=1), mean, h_vals)
+    return _validate_trace(DataTable.from_columns(columns, data, meta)), ensembles
 
 
 def _run_compare(cfg: ScenarioConfig) -> ScenarioResult:
@@ -340,11 +357,7 @@ def _run_compare(cfg: ScenarioConfig) -> ScenarioResult:
     diff = dia_table.column("concurrence") - para_table.column("concurrence")
     meta = _base_metadata(cfg)
     meta["regime"] = "difference (frozen-domain minus paramagnetic)"
-    diff_table = DataTable(
-        ("t_elapsed", "difference"),
-        [(float(ti), float(di)) for ti, di in zip(t, diff)],
-        meta,
-    )
+    diff_table = DataTable.from_columns(("t_elapsed", "difference"), (t, diff), meta)
     return ScenarioResult(
         tables={"para": para_table, "dia": dia_table, "difference": diff_table},
         ensembles=ensembles,
@@ -354,25 +367,25 @@ def _run_compare(cfg: ScenarioConfig) -> ScenarioResult:
 def _run_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     grid_t = _time_grid(cfg)
     grid_g = np.linspace(cfg.g_sweep_min, cfg.g_sweep_max, cfg.g_sweep_points)
-    rows = []
-    ensemble: DomainEnsemble | None = None
+    # Only g changes along the sweep: partition and ensemble are built once,
+    # and each coupling's guards are re-checked on a copy of the config.
+    base = _dia_config(cfg, g=float(grid_g[0]))
+    conc_dia, conc_para = [], []
     for g in grid_g:
         pc = _para_config(cfg, g=float(g))
-        dc = _dia_config(cfg, g=float(g))
-        if ensemble is None:
-            ensemble = dc.ensemble
-        for t in grid_t:
-            c_d = dia_mod.concurrence(dc, float(t))
-            c_p = para_mod.concurrence(pc, float(t))
-            rows.append((float(g), float(t), c_d, c_p, c_d - c_p))
+        dc = dataclasses.replace(base, g=float(g))
+        dia_mod.validate_trace_span(dc, cfg.t_stop - cfg.t_start)
+        conc_dia.append(dia_mod.concurrence(dc, grid_t))
+        conc_para.append(para_mod.concurrence(pc, grid_t))
+    c_d, c_p = np.concatenate(conc_dia), np.concatenate(conc_para)
     meta = _base_metadata(cfg)
     meta["regime"] = "coupling sweep (frozen-domain minus paramagnetic)"
-    table = DataTable(
+    table = DataTable.from_columns(
         ("g", "t_elapsed", "concurrence_dia", "concurrence_para", "difference"),
-        rows, meta,
+        (np.repeat(grid_g, len(grid_t)), np.tile(grid_t, len(grid_g)), c_d, c_p, c_d - c_p),
+        meta,
     )
-    assert ensemble is not None
-    return ScenarioResult(tables={"sweep": table}, ensembles={"sweep": ensemble})
+    return ScenarioResult(tables={"sweep": table}, ensembles={"sweep": base.ensemble})
 
 
 def reference_dia_config(seed: int = 7) -> dia_mod.DiaConfig:
@@ -505,8 +518,13 @@ def emit_csv(table: DataTable, path: str) -> None:
     """
     lines = [f"# {k} = {v}" for k, v in table.metadata.items()]
     lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+    numeric = [isinstance(c, np.ndarray) for c in table.data]
+    template = ",".join("%.12g" if is_num else "%s" for is_num in numeric)
+    cells = [
+        c.tolist() if is_num else [_format_cell(v) for v in c]
+        for c, is_num in zip(table.data, numeric)
+    ]
+    lines.extend(template % row for row in zip(*cells))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

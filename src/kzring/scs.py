@@ -28,6 +28,9 @@ from scipy.special import gammaln
 __all__ = [
     "ScsDirection",
     "rotation_matrix",
+    "omega_angles",
+    "bloch_vectors",
+    "rotation_matrices",
     "apply_displacement",
     "overlap_magnitude",
     "overlap_modulus",
@@ -130,6 +133,62 @@ def rotation_matrix(d: ScsDirection) -> np.ndarray:
             [-s * a, -s * b, c],
         ]
     )
+
+
+# math.atan2 applied elementwise: np.arctan2 can differ from it in the last
+# bit, and the array forms below must reproduce the scalar ones exactly.
+_ATAN2 = np.frompyfunc(math.atan2, 2, 1)
+
+
+def omega_angles(omega) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical (theta, phi) of a 1-D array of displacement parameters.
+
+    Elementwise the same arithmetic, in the same order, as
+    ``ScsDirection.from_omega``: theta = 2|Omega| folded into [0, pi],
+    phi = arg(Omega) shifted by pi on a fold, taken mod 2pi and pinned to 0
+    at either pole.
+    """
+    omega = np.asarray(omega, dtype=complex)
+    theta = 2.0 * np.hypot(omega.real, omega.imag)
+    # a finite theta implies finite parts, hence a finite phase
+    if not np.isfinite(theta).all():
+        raise ValueError("direction angles must be finite")
+    phi = _ATAN2(omega.imag, omega.real).astype(float)
+    theta %= _TWO_PI
+    reflex = theta > math.pi
+    theta[reflex] = _TWO_PI - theta[reflex]
+    phi[reflex] += math.pi
+    phi %= _TWO_PI
+    phi[(theta == 0.0) | (theta == math.pi)] = 0.0
+    return theta, phi
+
+
+# The stacks below are filled in place: matmul must see C-contiguous rows
+# to take the same BLAS kernels as the scalar routines' fresh arrays.
+def bloch_vectors(theta, phi) -> np.ndarray:
+    """Unit vectors of 1-D canonical angle arrays, shape (n, 3); see ``ScsDirection.bloch``."""
+    st = np.sin(theta)
+    out = np.empty((len(theta), 3))
+    out[:, 0] = st * np.cos(phi)
+    out[:, 1] = st * np.sin(phi)
+    out[:, 2] = np.cos(theta)
+    return out
+
+
+def rotation_matrices(theta, phi) -> np.ndarray:
+    """:func:`rotation_matrix` of 1-D canonical angle arrays, shape (n, 3, 3)."""
+    c, s = np.cos(theta), np.sin(theta)
+    a, b = np.cos(phi), np.sin(phi)
+    out = np.empty((len(theta), 3, 3))
+    out[:, 0, 0] = c * a * a + b * b
+    out[:, 0, 1] = out[:, 1, 0] = -a * b * (1.0 - c)
+    out[:, 0, 2] = s * a
+    out[:, 1, 1] = c * b * b + a * a
+    out[:, 1, 2] = s * b
+    out[:, 2, 0] = -s * a
+    out[:, 2, 1] = -s * b
+    out[:, 2, 2] = c
+    return out
 
 
 def apply_displacement(rotor: ScsDirection, target) -> np.ndarray:
