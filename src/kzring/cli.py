@@ -20,6 +20,7 @@ from .runner import (
     MODES,
     PRESET_NAMES,
     ScenarioConfig,
+    preset_config,
     run_preset,
     run_scenario,
     write_outputs,
@@ -39,28 +40,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="path to a scenario config JSON file")
-        p.add_argument("--seed", type=int, help="override the RNG seed")
-        p.add_argument("--out", help="output directory (default: $KZRING_OUT or .)")
-        p.add_argument(
-            "--realizations", type=int,
-            help="number of domain-ensemble realizations to average",
-        )
-
     for mode in MODES:
         p = sub.add_parser(mode, help=f"run the {mode} scenario")
-        add_common(p)
+        p.add_argument("--config", help="path to a scenario config JSON file")
+        _add_run_options(p)
 
     p = sub.add_parser("preset", help="run a bundled figure reproduction")
     p.add_argument("name", choices=PRESET_NAMES)
+    _add_run_options(p)
+    return parser
+
+
+def _add_run_options(p: argparse.ArgumentParser) -> None:
+    """The options every run accepts, scenario or preset."""
     p.add_argument("--seed", type=int, help="override the RNG seed")
     p.add_argument("--out", help="output directory (default: $KZRING_OUT or .)")
     p.add_argument(
         "--realizations", type=int,
         help="number of domain-ensemble realizations to average",
     )
-    return parser
+
+
+def _overrides(args) -> dict:
+    """Config fields set on the command line."""
+    given = {"seed": args.seed, "realizations": args.realizations}
+    return {key: value for key, value in given.items() if value is not None}
 
 
 def _load_config(args, mode: str) -> ScenarioConfig:
@@ -73,14 +77,7 @@ def _load_config(args, mode: str) -> ScenarioConfig:
         cfg = ScenarioConfig.from_json(text, mode=mode)
     else:
         cfg = ScenarioConfig(mode=mode)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.realizations is not None:
-        overrides["realizations"] = args.realizations
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    return dataclasses.replace(cfg, **_overrides(args))
 
 
 def _out_dir(args, cfg: ScenarioConfig | None) -> str:
@@ -93,13 +90,8 @@ def _out_dir(args, cfg: ScenarioConfig | None) -> str:
 
 def _run(args) -> int:
     if args.command == "preset":
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.realizations is not None:
-            overrides["realizations"] = args.realizations
-        result = run_preset(args.name, **overrides)
-        label, mode = args.name, preset_mode(args.name)
+        result = run_preset(args.name, **_overrides(args))
+        label, mode = args.name, preset_config(args.name)[0].mode
         out = _out_dir(args, None)
     else:
         cfg = _load_config(args, args.command)
@@ -110,20 +102,12 @@ def _run(args) -> int:
     for path in write_outputs(result, label, mode, out):
         print(path)
     if mode == "oracle-check":
-        table = result.tables["oracle"]
-        verdicts = [row[table.columns.index("verdict")] for row in table.rows]
-        for row in table.rows:
-            print(f"{row[0]}: deviation {row[1]:.3e} (tolerance {row[2]:g}) {row[3]}")
-        if any(v != "pass" for v in verdicts):
+        rows = result.tables["oracle"].rows
+        for name, dev, tol, verdict in rows:
+            print(f"{name}: deviation {dev:.3e} (tolerance {tol:g}) {verdict}")
+        if any(row[3] != "pass" for row in rows):
             return 1
     return 0
-
-
-def preset_mode(name: str) -> str:
-    from .runner import preset_config
-
-    configs = preset_config(name)
-    return configs[0].mode
 
 
 def main(argv=None) -> int:

@@ -157,24 +157,23 @@ def closed_form_check(setting: str, config, times) -> float:
     config.  The oracle route never touches the closed-form angle algebra:
     it builds branch states by dense matrix exponentials, keeps every
     complex phase, and evaluates the concurrence from the Gram matrix of a
-    Bell-state register.
+    Bell-state register, one time at a time.  The closed form is one call
+    over the whole grid.
     """
-    bell = DeviceState.bell()
-    worst = 0.0
     if setting == "para":
-        for t in np.asarray(times, dtype=float):
-            closed = para_mod.concurrence(config, float(t))
-            rho = device_density_matrix(bell, _para_overlap_matrix(config, float(t)))
-            worst = max(worst, abs(closed - wootters_concurrence(rho)))
+        module, gram = para_mod, _para_overlap_matrix
     elif setting == "dia":
         if config.partition.s_d > 60:
             raise ValueError(
                 "dense Dicke-space oracle is limited to collective spins <= 60"
             )
-        for t in np.asarray(times, dtype=float):
-            closed = dia_mod.concurrence(config, float(t))
-            rho = device_density_matrix(bell, _dia_overlap_matrix(config, float(t)))
-            worst = max(worst, abs(closed - wootters_concurrence(rho)))
+        module, gram = dia_mod, _dia_overlap_matrix
     else:
         raise ValueError(f"unknown setting {setting!r}, expected 'para' or 'dia'")
+    times = np.asarray(times, dtype=float)
+    bell = DeviceState.bell()
+    worst = 0.0
+    for t, closed in zip(times.tolist(), module.concurrence(config, times).tolist()):
+        rho = device_density_matrix(bell, gram(config, t))
+        worst = max(worst, abs(closed - wootters_concurrence(rho)))
     return worst

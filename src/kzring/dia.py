@@ -32,23 +32,19 @@ import numpy as np
 from .errors import ConfigError
 from .sampler import DomainEnsemble
 from .scaling import DomainPartition, QuenchSchedule, field_at, freeze_out_time
-from .scs import (
-    ScsDirection,
-    apply_displacement,
-    bloch_vectors,
-    omega_angles,
-    rotation_matrices,
-)
+from .scs import bloch_vectors, omega_angles, rotation_matrices
 
 __all__ = [
     "DiaConfig",
+    "V_SPAN_MAX",
     "displacement_parameter",
-    "branch_direction",
-    "evolve_domain",
     "branch_overlap",
     "concurrence",
     "validate_trace_span",
 ]
+
+# Largest field drift v * span a trace may cover and still count as frozen.
+V_SPAN_MAX = 0.05
 
 
 @dataclass(frozen=True)
@@ -70,7 +66,6 @@ class DiaConfig:
     ensemble: DomainEnsemble
     g_max: float = 0.25
     g_to_h_max: float = 0.25
-    v_span_max: float = 0.05
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -118,10 +113,10 @@ def validate_trace_span(cfg: DiaConfig, span: float) -> None:
     if span < 0:
         raise ConfigError(f"trace span must be >= 0, got {span}")
     drift = cfg.schedule.v * span
-    if drift > cfg.v_span_max + 1e-15:
+    if drift > V_SPAN_MAX + 1e-15:
         raise ConfigError(
             f"field drifts by {drift} over the trace, above the "
-            f"frozen-window bound {cfg.v_span_max}"
+            f"frozen-window bound {V_SPAN_MAX}"
         )
     h_end = field_at(cfg.schedule, cfg.t0 + span)
     if h_end < cfg.schedule.hc - 1e-12:
@@ -145,18 +140,6 @@ def displacement_parameter(g: float, h_t, t):
         raise ValueError(f"instantaneous field must be positive, got h_t={h_t}")
     th = np.multiply(t, h_t)
     return (g / h_t) * ((np.cos(th) - 1.0) + 1j * np.sin(th))
-
-
-def branch_direction(g: float, h_t: float, branch: int, t: float) -> ScsDirection:
-    """Rotor direction Omega_gamma = pi_gamma * f(t) for a parity branch."""
-    if branch not in (1, -1):
-        raise ValueError(f"branch must be +1 or -1, got {branch}")
-    return ScsDirection.from_omega(branch * displacement_parameter(g, h_t, t))
-
-
-def evolve_domain(initial: ScsDirection, rotor: ScsDirection) -> ScsDirection:
-    """Direction of a domain after the displacement labelled by `rotor`."""
-    return ScsDirection.from_bloch(apply_displacement(rotor, initial.bloch()))
 
 
 def branch_overlap(cfg: DiaConfig, t):

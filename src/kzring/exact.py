@@ -73,7 +73,6 @@ class HamiltonianSpec:
     n: int
     g: float
     field: float | QuenchSchedule
-    periodic: bool = True
 
     def __post_init__(self) -> None:
         if not (2 <= self.n <= MAX_ORACLE_SITES):
@@ -81,8 +80,6 @@ class HamiltonianSpec:
                 f"oracle ring size must satisfy 2 <= n <= {MAX_ORACLE_SITES}, "
                 f"got n={self.n}"
             )
-        if not self.periodic:
-            raise ConfigError("only periodic rings are implemented")
         if not isinstance(self.field, QuenchSchedule):
             h = float(self.field)
             if not math.isfinite(h):

@@ -28,12 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .scs import ScsDirection, bloch_vectors, omega_angles
+from .scs import bloch_vectors, omega_angles
 
-__all__ = ["ParaConfig", "displacement_parameter", "branch_direction",
-           "branch_overlap", "concurrence", "BRANCHES"]
-
-BRANCHES = (1, -1)
+__all__ = ["ParaConfig", "displacement_parameter", "branch_overlap", "concurrence"]
 
 
 @dataclass(frozen=True)
@@ -80,18 +77,6 @@ def displacement_parameter(cfg: ParaConfig, t):
     """
     ht = np.multiply(cfg.h, t)
     return (cfg.g / cfg.h) * (1.0 - (np.cos(ht) - 1j * np.sin(ht)))
-
-
-def _check_branch(branch: int) -> int:
-    if branch not in (1, -1):
-        raise ValueError(f"branch must be +1 or -1, got {branch}")
-    return branch
-
-
-def branch_direction(cfg: ParaConfig, branch: int, t: float) -> ScsDirection:
-    """Direction of a ring spin on the given register parity branch."""
-    _check_branch(branch)
-    return ScsDirection.from_omega(branch * displacement_parameter(cfg, t))
 
 
 def branch_overlap(cfg: ParaConfig, t):

@@ -260,29 +260,36 @@ def _load_ensemble(path: str, n_d: int) -> DomainEnsemble:
     return ensemble
 
 
-def _dia_config(
-    cfg: ScenarioConfig, realization: int = 0, g: float | None = None
-) -> dia_mod.DiaConfig:
+def _dia_configs(cfg: ScenarioConfig, g: float | None = None):
+    """Yield the DiaConfig of each realization, in order.
+
+    Partition, preparation time and magnetization targets are set up once;
+    only the ensemble is drawn per realization.  A replayed ensemble is the
+    single realization.
+    """
     schedule = cfg.schedule()
     partition = domain_partition(cfg.n, schedule)
     t_bar = freeze_out_time(schedule)
     t0 = t_bar + cfg.t0_offset
     if cfg.ensemble_json is not None:
-        ensemble = _load_ensemble(cfg.ensemble_json, partition.n_d)
+        ensembles = [_load_ensemble(cfg.ensemble_json, partition.n_d)]
     else:
         scale = cfg.mz_field_scale
         m0 = equilibrium_magnetization(field_at(schedule, t0) * scale, cfg.n_ref)
         md = equilibrium_magnetization(field_at(schedule, t_bar) * scale, cfg.n_ref)
-        ensemble = sample_initial_directions(
-            partition.n_d, m0, md, seed=cfg.seed, realization=realization
+        ensembles = (
+            sample_initial_directions(partition.n_d, m0, md, seed=cfg.seed, realization=r)
+            for r in range(cfg.realizations)
         )
-    dia_cfg = dia_mod.DiaConfig(
-        n=cfg.n, g=cfg.g if g is None else g, schedule=schedule, t0=t0,
-        partition=partition, ensemble=ensemble,
-        g_max=cfg.g_max, g_to_h_max=cfg.g_to_h_max,
-    )
-    dia_mod.validate_trace_span(dia_cfg, cfg.t_stop - cfg.t_start)
-    return dia_cfg
+    for r, ensemble in enumerate(ensembles):
+        dia_cfg = dia_mod.DiaConfig(
+            n=cfg.n, g=cfg.g if g is None else g, schedule=schedule, t0=t0,
+            partition=partition, ensemble=ensemble,
+            g_max=cfg.g_max, g_to_h_max=cfg.g_to_h_max,
+        )
+        if r == 0:
+            dia_mod.validate_trace_span(dia_cfg, cfg.t_stop - cfg.t_start)
+        yield dia_cfg
 
 
 def _time_grid(cfg: ScenarioConfig) -> np.ndarray:
@@ -321,16 +328,12 @@ def _dia_metadata(cfg: ScenarioConfig, dc: dia_mod.DiaConfig) -> dict[str, str]:
 
 def _run_dia(cfg: ScenarioConfig) -> tuple[DataTable, dict[str, DomainEnsemble]]:
     grid = _time_grid(cfg)
-    per_real = []
-    ensembles: dict[str, DomainEnsemble] = {}
-    first_cfg: dia_mod.DiaConfig | None = None
-    for r in range(cfg.realizations):
-        dc = _dia_config(cfg, realization=r)
-        if first_cfg is None:
-            first_cfg = dc
-        ensembles["dia" if r == 0 else f"dia_r{r}"] = dc.ensemble
-        per_real.append(dia_mod.concurrence(dc, grid))
-    assert first_cfg is not None
+    configs = list(_dia_configs(cfg))
+    ensembles = {
+        "dia" if r == 0 else f"dia_r{r}": dc.ensemble for r, dc in enumerate(configs)
+    }
+    per_real = [dia_mod.concurrence(dc, grid) for dc in configs]
+    first_cfg = configs[0]
     h_vals = field_at(first_cfg.schedule, first_cfg.t0 + grid)
     meta = _dia_metadata(cfg, first_cfg)
     if cfg.realizations == 1:
@@ -369,7 +372,7 @@ def _run_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     grid_g = np.linspace(cfg.g_sweep_min, cfg.g_sweep_max, cfg.g_sweep_points)
     # Only g changes along the sweep: partition and ensemble are built once,
     # and each coupling's guards are re-checked on a copy of the config.
-    base = _dia_config(cfg, g=float(grid_g[0]))
+    base = next(_dia_configs(cfg, g=float(grid_g[0])))
     conc_dia, conc_para = [], []
     for g in grid_g:
         pc = _para_config(cfg, g=float(g))

@@ -31,11 +31,8 @@ __all__ = [
     "omega_angles",
     "bloch_vectors",
     "rotation_matrices",
-    "apply_displacement",
     "overlap_magnitude",
-    "overlap_modulus",
     "dicke_m_values",
-    "dicke_coefficient",
     "dicke_vector",
     "overlap_exact",
     "ladder_matrices",
@@ -87,56 +84,24 @@ class ScsDirection:
         omega = complex(omega)
         return cls(2.0 * abs(omega), cmath.phase(omega))
 
-    @classmethod
-    def from_bloch(cls, vec) -> "ScsDirection":
-        """Direction of a (not necessarily normalized) nonzero 3-vector."""
-        v = np.asarray(vec, dtype=float)
-        if v.shape != (3,):
-            raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-        norm = float(np.linalg.norm(v))
-        if not math.isfinite(norm) or norm == 0.0:
-            raise ValueError("cannot orient a zero or non-finite vector")
-        v = v / norm
-        # atan2 of the transverse radius stays accurate at the poles, where
-        # acos(v_z) would round small polar angles to zero
-        theta = math.atan2(math.hypot(v[0], v[1]), v[2])
-        return cls(theta, math.atan2(v[1], v[0]))
-
     @property
     def omega(self) -> complex:
         """Complex displacement parameter (theta/2) e^(i phi)."""
         return 0.5 * self.theta * complex(math.cos(self.phi), math.sin(self.phi))
 
     def bloch(self) -> np.ndarray:
-        """Cartesian unit vector (sin t cos p, sin t sin p, cos t)."""
-        st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
+        """Cartesian unit vector; a one-element call of :func:`bloch_vectors`."""
+        return bloch_vectors(np.array([self.theta]), np.array([self.phi]))[0]
 
 
 def rotation_matrix(d: ScsDirection) -> np.ndarray:
-    """SO(3) matrix of the displacement exp(Omega S- - conj(Omega) S+).
-
-    Rodrigues rotation by theta about the in-plane axis
-    u = (-sin phi, cos phi, 0); its third column is n(Omega), so the north
-    pole is carried onto the direction itself.  Composition matches the
-    matrix exponential acting on states (adjoint action), which the exact
-    cross-check validates to near machine precision.
-    """
-    c, s = math.cos(d.theta), math.sin(d.theta)
-    a, b = math.cos(d.phi), math.sin(d.phi)
-    return np.array(
-        [
-            [c * a * a + b * b, -a * b * (1.0 - c), s * a],
-            [-a * b * (1.0 - c), c * b * b + a * a, s * b],
-            [-s * a, -s * b, c],
-        ]
-    )
+    """SO(3) matrix of the displacement labelled by `d`; a one-element call
+    of :func:`rotation_matrices`."""
+    return rotation_matrices(np.array([d.theta]), np.array([d.phi]))[0]
 
 
 # math.atan2 applied elementwise: np.arctan2 can differ from it in the last
-# bit, and the array forms below must reproduce the scalar ones exactly.
+# bit, and omega_angles must reproduce ScsDirection.from_omega exactly.
 _ATAN2 = np.frompyfunc(math.atan2, 2, 1)
 
 
@@ -163,10 +128,12 @@ def omega_angles(omega) -> tuple[np.ndarray, np.ndarray]:
     return theta, phi
 
 
-# The stacks below are filled in place: matmul must see C-contiguous rows
-# to take the same BLAS kernels as the scalar routines' fresh arrays.
+# The stacks below are filled in place, so every row and matrix is
+# C-contiguous and matmul takes the same BLAS kernels for a stack as for one
+# element.
 def bloch_vectors(theta, phi) -> np.ndarray:
-    """Unit vectors of 1-D canonical angle arrays, shape (n, 3); see ``ScsDirection.bloch``."""
+    """Unit vectors (sin t cos p, sin t sin p, cos t) of 1-D canonical angle
+    arrays, shape (n, 3)."""
     st = np.sin(theta)
     out = np.empty((len(theta), 3))
     out[:, 0] = st * np.cos(phi)
@@ -176,7 +143,15 @@ def bloch_vectors(theta, phi) -> np.ndarray:
 
 
 def rotation_matrices(theta, phi) -> np.ndarray:
-    """:func:`rotation_matrix` of 1-D canonical angle arrays, shape (n, 3, 3)."""
+    """SO(3) displacement matrices of 1-D canonical angle arrays, shape (n, 3, 3).
+
+    Each is the displacement exp(Omega S- - conj(Omega) S+) acting on Bloch
+    vectors: the Rodrigues rotation by theta about the in-plane axis
+    u = (-sin phi, cos phi, 0).  Its third column is n(Omega), so the north
+    pole is carried onto the direction itself.  Composition matches the
+    matrix exponential acting on states (adjoint action), which the exact
+    cross-check validates to near machine precision.
+    """
     c, s = np.cos(theta), np.sin(theta)
     a, b = np.cos(phi), np.sin(phi)
     out = np.empty((len(theta), 3, 3))
@@ -189,18 +164,6 @@ def rotation_matrices(theta, phi) -> np.ndarray:
     out[:, 2, 1] = -s * b
     out[:, 2, 2] = c
     return out
-
-
-def apply_displacement(rotor: ScsDirection, target) -> np.ndarray:
-    """Rotate a Bloch vector by the displacement labelled by `rotor`."""
-    v = np.asarray(target, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    out = rotation_matrix(rotor) @ v
-    norm = float(np.linalg.norm(out))
-    if norm == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    return out / norm
 
 
 def _check_spin(s: float) -> int:
@@ -220,22 +183,13 @@ def overlap_magnitude(d1: ScsDirection, d2: ScsDirection, s: float) -> float:
     return x ** (2.0 * s)
 
 
-def overlap_modulus(d1: ScsDirection, d2: ScsDirection, s: float) -> float:
-    """Overlap modulus |<Omega1|Omega2>| = cos^(2S)(Theta/2), the square root
-    of :func:`overlap_magnitude`."""
-    _check_spin(s)
-    x = 0.5 * (1.0 + float(d1.bloch() @ d2.bloch()))
-    x = min(1.0, max(0.0, x))
-    return x**s
-
-
 def dicke_m_values(s: float) -> np.ndarray:
     """Magnetic quantum numbers in descending order, S, S-1, ..., -S."""
     n = _check_spin(s)
     return float(s) - np.arange(n + 1)
 
 
-def dicke_vector(d: ScsDirection, s: float, cap: float = SPIN_CAP) -> np.ndarray:
+def dicke_vector(d: ScsDirection, s: float) -> np.ndarray:
     """Dicke-basis expansion of |Omega>, ordered |S,S>, |S,S-1>, ..., |S,-S>.
 
     Component k (with M = S - k) is
@@ -246,8 +200,8 @@ def dicke_vector(d: ScsDirection, s: float, cap: float = SPIN_CAP) -> np.ndarray
     first basis vector.
     """
     n = _check_spin(s)
-    if s > cap:
-        raise ValueError(f"spin {s} above the Dicke-path cap {cap}")
+    if s > SPIN_CAP:
+        raise ValueError(f"spin {s} above the Dicke-path cap {SPIN_CAP}")
     k = np.arange(n + 1)
     ln_binom = 0.5 * (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0))
     c = math.cos(0.5 * d.theta)
@@ -266,26 +220,13 @@ def dicke_vector(d: ScsDirection, s: float, cap: float = SPIN_CAP) -> np.ndarray
     return np.exp(ln_mag) * np.exp(1j * k * d.phi)
 
 
-def dicke_coefficient(d: ScsDirection, s: float, m: float) -> complex:
-    """Single Dicke-basis coefficient <S, M|Omega>."""
-    n = _check_spin(s)
-    k = round(float(s) - float(m))
-    if abs((float(s) - float(m)) - k) > 1e-9 or not (0 <= k <= n):
-        raise ValueError(f"m={m} is not a magnetic number of spin s={s}")
-    return complex(dicke_vector(d, s)[k])
-
-
-def overlap_exact(
-    d1: ScsDirection, d2: ScsDirection, s: float, cap: float = SPIN_CAP
-) -> complex:
+def overlap_exact(d1: ScsDirection, d2: ScsDirection, s: float) -> complex:
     """Full complex overlap <Omega1|Omega2> by direct Dicke-basis summation.
 
     Independent oracle for the closed-form overlap rules: its modulus must
     reproduce cos^(2S)(Theta/2) and its phase is physical (relative) phase.
     """
-    v1 = dicke_vector(d1, s, cap=cap)
-    v2 = dicke_vector(d2, s, cap=cap)
-    return complex(np.vdot(v1, v2))
+    return complex(np.vdot(dicke_vector(d1, s), dicke_vector(d2, s)))
 
 
 def ladder_matrices(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

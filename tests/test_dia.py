@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from kzring.dia import (
+    V_SPAN_MAX,
     DiaConfig,
-    branch_direction,
     branch_overlap,
     concurrence,
     displacement_parameter,
-    evolve_domain,
     validate_trace_span,
 )
 from kzring.errors import ConfigError
@@ -61,6 +60,9 @@ def test_trace_span_guards():
         validate_trace_span(cfg, -1.0)
     with pytest.raises(ConfigError):
         validate_trace_span(cfg, 10.0)  # field would cross criticality
+    validate_trace_span(cfg, V_SPAN_MAX / cfg.schedule.v)  # drift at the bound
+    with pytest.raises(ConfigError):
+        validate_trace_span(cfg, 1.01 * V_SPAN_MAX / cfg.schedule.v)
 
 
 def test_displacement_modulus_closed_form():
@@ -77,20 +79,24 @@ def test_displacement_modulus_closed_form():
 
 def test_branch_directions_mirror_each_other():
     f = displacement_parameter(0.1, 1.05, 0.7)
-    d_plus = branch_direction(0.1, 1.05, +1, 0.7)
-    d_minus = branch_direction(0.1, 1.05, -1, 0.7)
+    d_plus = ScsDirection.from_omega(f)
+    d_minus = ScsDirection.from_omega(-f)
     assert d_plus.omega == pytest.approx(f, abs=1e-14)
     assert d_minus.omega == pytest.approx(-f, abs=1e-14)
+    # opposite branches rotate each domain by inverse rotations
+    assert np.allclose(
+        rotation_matrix(d_minus), rotation_matrix(d_plus).T, atol=1e-15
+    )
 
 
-def test_evolve_domain_is_a_rotation():
+def test_domain_rotor_is_an_invertible_rotation():
     rotor = ScsDirection(0.4, 1.1)
-    start = ScsDirection(1.9, 5.0)
-    moved = evolve_domain(start, rotor)
-    assert np.linalg.norm(moved.bloch()) == pytest.approx(1.0)
+    start = ScsDirection(1.9, 5.0).bloch()
+    moved = rotation_matrix(rotor) @ start
+    assert np.linalg.norm(moved) == pytest.approx(1.0)
     # displacement by the inverse rotor must return to the start
-    back = evolve_domain(moved, ScsDirection(rotor.theta, rotor.phi + math.pi))
-    assert np.allclose(back.bloch(), start.bloch(), atol=1e-10)
+    back = rotation_matrix(ScsDirection(rotor.theta, rotor.phi + math.pi)) @ moved
+    assert np.allclose(back, start, atol=1e-10)
 
 
 def test_concurrence_starts_at_one_and_stays_bounded():
@@ -116,8 +122,8 @@ def test_field_is_frozen_at_the_sample_instant():
     t = 0.8
     h_t = cfg.schedule.h0 - cfg.schedule.v * (cfg.t0 + t)
     f = displacement_parameter(cfg.g, h_t, t)
-    rot_p = rotation_matrix(branch_direction(cfg.g, h_t, +1, t))
-    rot_m = rotation_matrix(branch_direction(cfg.g, h_t, -1, t))
+    rot_p = rotation_matrix(ScsDirection.from_omega(f))
+    rot_m = rotation_matrix(ScsDirection.from_omega(-f))
     n0 = cfg.ensemble.directions[0].bloch()
     cos_half = math.sqrt(max(0.0, (1.0 + float((rot_p @ n0) @ (rot_m @ n0))) / 2.0))
     expected = cos_half ** (2.0 * cfg.partition.s_d * cfg.partition.n_d)

@@ -173,5 +173,3 @@ def test_spec_validation():
         HamiltonianSpec(n=13, g=0.1, field=2.0)
     with pytest.raises(ValueError):
         HamiltonianSpec(n=1, g=0.1, field=2.0)
-    with pytest.raises(ValueError):
-        HamiltonianSpec(n=6, g=0.1, field=2.0, periodic=False)

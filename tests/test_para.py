@@ -8,13 +8,12 @@ from hypothesis import given, strategies as st
 
 from kzring.errors import ConfigError
 from kzring.para import (
-    BRANCHES,
     ParaConfig,
-    branch_direction,
     branch_overlap,
     concurrence,
     displacement_parameter,
 )
+from kzring.scs import ScsDirection
 
 FIG3 = ParaConfig(n=120, g=1.0 / 6.0, h=2.0)
 
@@ -40,11 +39,13 @@ def test_branch_directions_are_opposite_displacements():
     cfg = ParaConfig(n=8, g=0.05, h=2.0)
     t = 0.37
     l = displacement_parameter(cfg, t)
-    d_plus = branch_direction(cfg, +1, t)
-    d_minus = branch_direction(cfg, -1, t)
+    d_plus = ScsDirection.from_omega(l)
+    d_minus = ScsDirection.from_omega(-l)
     assert d_plus.omega == pytest.approx(l)
     assert d_minus.omega == pytest.approx(-l)
-    assert set(BRANCHES) == {+1, -1}
+    # the two branch spins sit at mirror points through the field axis
+    assert np.allclose(d_minus.bloch()[:2], -d_plus.bloch()[:2], atol=1e-15)
+    assert d_minus.bloch()[2] == d_plus.bloch()[2]
 
 
 def test_concurrence_revives_at_the_drive_period():

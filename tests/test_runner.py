@@ -19,7 +19,14 @@ from kzring.runner import (
     reference_dia_config,
     run_preset,
     run_scenario,
+    write_outputs,
 )
+from kzring.sampler import (
+    DomainEnsemble,
+    equilibrium_magnetization,
+    sample_initial_directions,
+)
+from kzring.scaling import domain_partition, field_at, freeze_out_time
 
 QUICK = dict(t_points=21)  # keep module-level runs snappy
 
@@ -92,6 +99,31 @@ def test_multiple_realizations_average_and_bracket():
     assert np.any(lo < hi)  # realizations actually differ
     assert set(res.ensembles) == {"dia", "dia_r1", "dia_r2"}
     assert res.ensembles["dia_r1"].realization == 1
+
+
+def test_three_realizations_are_three_single_runs(tmp_path):
+    """Realization r is the sampler's stream r; the columns reduce its traces."""
+    cfg = ScenarioConfig(mode="dia", realizations=3, **QUICK)
+    res = run_scenario(cfg)
+    write_outputs(res, "multi", "dia", str(tmp_path))
+    schedule = cfg.schedule()
+    n_d = domain_partition(cfg.n, schedule).n_d
+    t_bar = freeze_out_time(schedule)
+    scale = cfg.mz_field_scale
+    m0 = equilibrium_magnetization(field_at(schedule, t_bar + cfg.t0_offset) * scale)
+    md = equilibrium_magnetization(field_at(schedule, t_bar) * scale)
+    traces = []
+    for r, key in enumerate(("dia", "dia_r1", "dia_r2")):
+        path = tmp_path / f"multi_{key}_ensemble.json"
+        written = DomainEnsemble.from_json(path.read_text())
+        assert written == sample_initial_directions(n_d, m0, md, cfg.seed, realization=r)
+        single = run_scenario(ScenarioConfig(mode="dia", ensemble_json=str(path), **QUICK))
+        traces.append(single.tables["dia"].column("concurrence"))
+    by_time = np.stack(traces, axis=1)
+    table = res.tables["dia"]
+    assert np.array_equal(table.column("concurrence_min"), by_time.min(axis=1))
+    assert np.array_equal(table.column("concurrence"), by_time.mean(axis=1))
+    assert np.array_equal(table.column("concurrence_max"), by_time.max(axis=1))
 
 
 def test_replay_conflicts_with_multiple_realizations(tmp_path):
