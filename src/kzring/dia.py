@@ -18,9 +18,12 @@ with Theta_delta the angle between the two branch-evolved directions of
 domain delta.
 
 The dynamics functions take a scalar t (returning a float) or an array of
-times; both run one batched kernel that performs, per time and domain, the
-same floating-point operations as building the branch rotors' ScsDirection
-objects and rotation matrices and rotating each domain's Bloch vector.
+times, and :func:`concurrences` takes a batch of configs that differ only
+in g and ensemble.  All run one batched kernel that computes the time
+factors once and the branch rotors once per distinct g, and performs, per
+coupling, time and domain, the same floating-point operations as building
+the rotors' ScsDirection objects and rotation matrices and rotating each
+domain's Bloch vector.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "displacement_parameter",
     "branch_overlap",
     "concurrence",
+    "concurrences",
     "validate_trace_span",
 ]
 
@@ -134,12 +138,52 @@ def displacement_parameter(g: float, h_t, t):
     """Accumulated per-domain displacement f(t) = (g/h_t)(e^(i t h_t) - 1).
 
     Its modulus obeys |f| = (2g/h_t) |sin(t h_t / 2)|.  Complex for scalar
-    arguments, a complex array for arrays of fields and times.
+    arguments, a complex array for arrays of couplings, fields and times,
+    broadcast together; the time factors are computed once for all g.
     """
     if np.any(np.asarray(h_t) <= 0):
         raise ValueError(f"instantaneous field must be positive, got h_t={h_t}")
     th = np.multiply(t, h_t)
     return (g / h_t) * ((np.cos(th) - 1.0) + 1j * np.sin(th))
+
+
+# Largest (config, time, domain) block whose Bloch-vector products are held
+# at once: the batch is worked through in blocks of configs, so a batch
+# costs no more memory than a few configs.
+_BLOCK_POINTS = 1 << 15
+
+
+def _overlaps(configs: tuple[DiaConfig, ...], times: np.ndarray) -> np.ndarray:
+    """prod_d cos^(2 S_d)(Theta_d/2) of each config at each time, shape
+    (configs,) + times.shape.
+
+    The time factors are computed once and the rotors once per distinct g,
+    shared by every ensemble run at that g.
+    """
+    first = configs[0]
+    flat = times.reshape(-1)
+    g, row = np.unique([c.g for c in configs], return_inverse=True)
+    h_t = field_at(first.schedule, first.t0 + flat)
+    f = displacement_parameter(g[:, None], h_t, flat).reshape(-1)
+    # (g, time, 1, 3, 3) rotors against (config, 1, domain, 3, 1) initial
+    # Bloch vectors
+    shape = (len(g), len(flat), 1, 3, 3)
+    rot_plus = rotation_matrices(*omega_angles(f)).reshape(shape)
+    rot_minus = rotation_matrices(*omega_angles(-f)).reshape(shape)
+    n_d = first.partition.n_d
+    dirs = [d for c in configs for d in c.ensemble.directions]
+    n0 = bloch_vectors(np.array([d.theta for d in dirs]), np.array([d.phi for d in dirs]))
+    n0 = n0.reshape(len(configs), 1, n_d, 3, 1)
+    out = np.empty((len(configs), len(flat)))
+    step = max(1, _BLOCK_POINTS // (len(flat) * n_d))
+    for start in range(0, len(configs), step):
+        block = slice(start, start + step)
+        plus = rot_plus[row[block]] @ n0[block]
+        minus = rot_minus[row[block]] @ n0[block]
+        dot = (np.swapaxes(plus, -1, -2) @ minus)[..., 0, 0]
+        cosines = np.sqrt(np.clip(0.5 * (1.0 + dot), 0.0, 1.0))
+        out[block] = np.prod(cosines ** (2.0 * first.partition.s_d), axis=-1)
+    return out.reshape((len(configs),) + times.shape)
 
 
 def branch_overlap(cfg: DiaConfig, t):
@@ -150,18 +194,8 @@ def branch_overlap(cfg: DiaConfig, t):
     time t, an array shaped like t otherwise.
     """
     times = np.asarray(t, dtype=float)
-    flat = times.reshape(-1)
-    f = displacement_parameter(cfg.g, field_at(cfg.schedule, cfg.t0 + flat), flat)
-    # (time, 1, 3, 3) rotors against (domain, 3, 1) initial Bloch vectors
-    rot_plus = rotation_matrices(*omega_angles(f))[:, None]
-    rot_minus = rotation_matrices(*omega_angles(-f))[:, None]
-    dirs = cfg.ensemble.directions
-    n0 = bloch_vectors(np.array([d.theta for d in dirs]), np.array([d.phi for d in dirs]))
-    n0 = n0[:, :, None]
-    dot = (np.swapaxes(rot_plus @ n0, -1, -2) @ (rot_minus @ n0))[..., 0, 0]
-    cosines = np.sqrt(np.clip(0.5 * (1.0 + dot), 0.0, 1.0))
-    out = np.prod(cosines ** (2.0 * cfg.partition.s_d), axis=-1)
-    return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
+    out = _overlaps((cfg,), times)[0]
+    return float(out) if times.ndim == 0 else out
 
 
 def concurrence(cfg: DiaConfig, t):
@@ -170,3 +204,22 @@ def concurrence(cfg: DiaConfig, t):
     It equals :func:`branch_overlap`, which is never negative.
     """
     return branch_overlap(cfg, t)
+
+
+def concurrences(configs, t) -> np.ndarray:
+    """Concurrence of each config over the elapsed times t, shape
+    (len(configs),) + t.shape.
+
+    One kernel call for the whole batch; row k equals
+    ``concurrence(configs[k], t)`` bit for bit.  The configs may differ only
+    in g and ensemble, otherwise ValueError.
+    """
+    configs = tuple(configs)
+    shared = {
+        (c.n, c.schedule, c.t0, c.partition, c.g_max, c.g_to_h_max) for c in configs
+    }
+    if len(shared) != 1:
+        raise ValueError(
+            "a batch needs one or more configs that differ only in g and ensemble"
+        )
+    return _overlaps(configs, np.asarray(t, dtype=float))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -109,8 +110,15 @@ def magnetization_diagonal(n: int) -> np.ndarray:
     return 0.5 * (n - 2 * _bit_count(n)).astype(float)
 
 
+@lru_cache(maxsize=1)
 def _bond_matrix(n: int) -> sp.csr_matrix:
-    """- sum_i sx_i sx_(i+1) on the periodic ring (entries -1/4, bit pairs flipped)."""
+    """- sum_i sx_i sx_(i+1) on the periodic ring (entries -1/4, bit pairs flipped).
+
+    Field-independent, so the last ring size's matrix is kept and shared by
+    every Hamiltonian built at that size (one run looks up several fields at
+    one size); callers must not modify it.  It stays resident: 2.7 MiB of
+    arrays at n = 14.
+    """
     dim = 1 << n
     idx = np.arange(dim, dtype=np.int64)
     rows, cols = [], []

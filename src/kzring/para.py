@@ -16,9 +16,10 @@ Theta(t) the angle between the two branch directions.  The motion is
 periodic with period 2*pi/h, so the concurrence revives fully there.
 
 The dynamics functions take a scalar t (returning a float) or an array of
-times; both run one batched kernel that performs, per time, the same
-floating-point operations as building the two ScsDirection objects and
-dotting their Bloch vectors.
+times, and :func:`concurrences` takes a batch of configs that differ only
+in g.  All run one batched kernel that computes the time factors once and
+performs, per coupling and time, the same floating-point operations as
+building the two ScsDirection objects and dotting their Bloch vectors.
 """
 
 from __future__ import annotations
@@ -30,7 +31,13 @@ import numpy as np
 from .errors import ConfigError
 from .scs import bloch_vectors, omega_angles
 
-__all__ = ["ParaConfig", "displacement_parameter", "branch_overlap", "concurrence"]
+__all__ = [
+    "ParaConfig",
+    "displacement_parameter",
+    "branch_overlap",
+    "concurrence",
+    "concurrences",
+]
 
 
 @dataclass(frozen=True)
@@ -70,13 +77,34 @@ class ParaConfig:
 _POW = np.frompyfunc(pow, 2, 1)
 
 
+def _displacements(g, h: float, t):
+    """l(t) for a coupling g, or an array of couplings broadcast against t."""
+    ht = np.multiply(h, t)
+    return (g / h) * (1.0 - (np.cos(ht) - 1j * np.sin(ht)))
+
+
 def displacement_parameter(cfg: ParaConfig, t):
     """Accumulated per-spin displacement l(t) = (g/h)(1 - e^(-i t h)).
 
     Complex for a scalar t, a complex array for an array of times.
     """
-    ht = np.multiply(cfg.h, t)
-    return (cfg.g / cfg.h) * (1.0 - (np.cos(ht) - 1j * np.sin(ht)))
+    return _displacements(cfg.g, cfg.h, t)
+
+
+def _overlaps(configs: tuple[ParaConfig, ...], times: np.ndarray) -> np.ndarray:
+    """cos^N(Theta/2) of each config at each time, shape (configs,) + times.shape.
+
+    The time factors are computed once for all couplings.
+    """
+    first = configs[0]
+    g = np.array([c.g for c in configs])[:, None]
+    ell = _displacements(g, first.h, times.reshape(-1)).reshape(-1)
+    plus = bloch_vectors(*omega_angles(ell))
+    minus = bloch_vectors(*omega_angles(-ell))
+    dot = (plus[:, None, :] @ minus[:, :, None])[:, 0, 0]
+    cos_half = np.sqrt(np.clip(0.5 * (1.0 + dot), 0.0, 1.0))
+    out = _POW(cos_half, first.n).astype(float)
+    return out.reshape((len(configs),) + times.shape)
 
 
 def branch_overlap(cfg: ParaConfig, t):
@@ -85,13 +113,8 @@ def branch_overlap(cfg: ParaConfig, t):
     A float for a scalar t, an array shaped like t otherwise.
     """
     times = np.asarray(t, dtype=float)
-    ell = displacement_parameter(cfg, times.reshape(-1))
-    plus = bloch_vectors(*omega_angles(ell))
-    minus = bloch_vectors(*omega_angles(-ell))
-    dot = (plus[:, None, :] @ minus[:, :, None])[:, 0, 0]
-    cos_half = np.sqrt(np.clip(0.5 * (1.0 + dot), 0.0, 1.0))
-    out = _POW(cos_half, cfg.n).astype(float)
-    return float(out[0]) if times.ndim == 0 else out.reshape(times.shape)
+    out = _overlaps((cfg,), times)[0]
+    return float(out) if times.ndim == 0 else out
 
 
 def concurrence(cfg: ParaConfig, t):
@@ -100,3 +123,16 @@ def concurrence(cfg: ParaConfig, t):
     It equals :func:`branch_overlap`, which is never negative.
     """
     return branch_overlap(cfg, t)
+
+
+def concurrences(configs, t) -> np.ndarray:
+    """Concurrence of each config over the times t, shape (len(configs),) + t.shape.
+
+    One kernel call for the whole batch; row k equals
+    ``concurrence(configs[k], t)`` bit for bit.  The configs may differ only
+    in g, otherwise ValueError.
+    """
+    configs = tuple(configs)
+    if len({(c.n, c.h, c.g_max, c.g_to_h_max) for c in configs}) != 1:
+        raise ValueError("a batch needs one or more configs that differ only in g")
+    return _overlaps(configs, np.asarray(t, dtype=float))

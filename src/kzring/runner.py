@@ -3,8 +3,8 @@
 A ScenarioConfig describes one run of either closed-form regime (or a
 comparison/sweep across both), carrying the quench schedule, the grid, the
 RNG seed, and the guard overrides.  Results come back as small column
-tables that serialize to deterministic CSV: same config and seed, same
-bytes.
+tables that serialize to deterministic CSV: same config, seed and BLAS
+thread count, same bytes.
 
 Magnetization lookup: the sampler's exact-diagonalization oracle acts on
 the spin-1/2 ring, whose true critical field sits at 1/2, while the quench
@@ -110,6 +110,11 @@ class ScenarioConfig:
             )
         if self.g_sweep_points < 2 or self.g_sweep_max < self.g_sweep_min:
             raise ConfigError("sweep grid must be ordered with >= 2 points")
+        if self.mode == "sweep-g" and self.realizations > 1:
+            raise ConfigError(
+                "sweep-g evaluates a single domain realization; set "
+                "realizations to 1"
+            )
         if self.mode == "sweep-g" and self.g_sweep_max > self.g_max:
             raise ConfigError(
                 f"sweep reaches g={self.g_sweep_max} above the weak-coupling "
@@ -213,6 +218,10 @@ def _validate_trace(table: DataTable) -> DataTable:
     t = table.column("t_elapsed")
     if np.any(np.diff(t) <= 0):
         raise ValueError("trace times must be strictly increasing")
+    return _validate_concurrences(table)
+
+
+def _validate_concurrences(table: DataTable) -> DataTable:
     for name in table.columns:
         if name.startswith("concurrence"):
             c = table.column(name)
@@ -332,7 +341,7 @@ def _run_dia(cfg: ScenarioConfig) -> tuple[DataTable, dict[str, DomainEnsemble]]
     ensembles = {
         "dia" if r == 0 else f"dia_r{r}": dc.ensemble for r, dc in enumerate(configs)
     }
-    per_real = [dia_mod.concurrence(dc, grid) for dc in configs]
+    per_real = dia_mod.concurrences(configs, grid)
     first_cfg = configs[0]
     h_vals = field_at(first_cfg.schedule, first_cfg.t0 + grid)
     meta = _dia_metadata(cfg, first_cfg)
@@ -343,7 +352,7 @@ def _run_dia(cfg: ScenarioConfig) -> tuple[DataTable, dict[str, DomainEnsemble]]
         # Each time's realizations as one contiguous row: the mean then sums
         # them pairwise, as over a 1-D slice, where a mean down axis 0 would
         # add them one by one and round differently.
-        by_time = np.ascontiguousarray(np.stack(per_real, axis=1))
+        by_time = np.ascontiguousarray(per_real.T)
         mean = by_time.mean(axis=1)
         columns = (
             "t_elapsed", "concurrence", "concurrence_min", "concurrence_max",
@@ -367,20 +376,27 @@ def _run_compare(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
+def _sweep_configs(cfg: ScenarioConfig):
+    """The sweep's couplings and, per coupling, its ParaConfig and DiaConfig.
+
+    Only g changes along the sweep: partition and ensemble are built once,
+    and each coupling's guards are checked on its own configs.
+    """
+    grid_g = np.linspace(cfg.g_sweep_min, cfg.g_sweep_max, cfg.g_sweep_points)
+    base = next(_dia_configs(cfg, g=float(grid_g[0])))
+    para_cfgs, dia_cfgs = [], []
+    for g in grid_g.tolist():
+        para_cfgs.append(_para_config(cfg, g=g))
+        dia_cfgs.append(dataclasses.replace(base, g=g))
+        dia_mod.validate_trace_span(dia_cfgs[-1], cfg.t_stop - cfg.t_start)
+    return grid_g, para_cfgs, dia_cfgs
+
+
 def _run_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     grid_t = _time_grid(cfg)
-    grid_g = np.linspace(cfg.g_sweep_min, cfg.g_sweep_max, cfg.g_sweep_points)
-    # Only g changes along the sweep: partition and ensemble are built once,
-    # and each coupling's guards are re-checked on a copy of the config.
-    base = next(_dia_configs(cfg, g=float(grid_g[0])))
-    conc_dia, conc_para = [], []
-    for g in grid_g:
-        pc = _para_config(cfg, g=float(g))
-        dc = dataclasses.replace(base, g=float(g))
-        dia_mod.validate_trace_span(dc, cfg.t_stop - cfg.t_start)
-        conc_dia.append(dia_mod.concurrence(dc, grid_t))
-        conc_para.append(para_mod.concurrence(pc, grid_t))
-    c_d, c_p = np.concatenate(conc_dia), np.concatenate(conc_para)
+    grid_g, para_cfgs, dia_cfgs = _sweep_configs(cfg)
+    c_d = dia_mod.concurrences(dia_cfgs, grid_t).reshape(-1)
+    c_p = para_mod.concurrences(para_cfgs, grid_t).reshape(-1)
     meta = _base_metadata(cfg)
     meta["regime"] = "coupling sweep (frozen-domain minus paramagnetic)"
     table = DataTable.from_columns(
@@ -388,7 +404,10 @@ def _run_sweep(cfg: ScenarioConfig) -> ScenarioResult:
         (np.repeat(grid_g, len(grid_t)), np.tile(grid_t, len(grid_g)), c_d, c_p, c_d - c_p),
         meta,
     )
-    return ScenarioResult(tables={"sweep": table}, ensembles={"sweep": base.ensemble})
+    return ScenarioResult(
+        tables={"sweep": _validate_concurrences(table)},
+        ensembles={"sweep": dia_cfgs[0].ensemble},
+    )
 
 
 def reference_dia_config(seed: int = 7) -> dia_mod.DiaConfig:

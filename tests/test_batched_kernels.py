@@ -1,19 +1,38 @@
 """Batched closed forms: array calls, scalar calls and the one-line formulas.
 
 The runtime kernels replay the per-point rotation arithmetic over whole time
-grids.  Two independent checks pin them: an array call must return exactly
-the scalar calls, and the result must agree with the closed forms written
+grids and whole batches of configs.  Three independent checks pin them: an
+array call must return exactly the scalar calls, a batch call exactly the
+one-config calls, and the result must agree with the closed forms written
 as one-line trigonometric formulas, whose different arithmetic leaves
 differences of a few ulps of the unit interval.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from kzring import dia, para
 from kzring.dia import DiaConfig
-from kzring.runner import preset_config, reference_dia_config, run_preset, run_scenario
-from kzring.scaling import domain_partition, field_at, freeze_out_time
+from kzring.runner import (
+    ScenarioConfig,
+    _dia_configs,
+    _sweep_configs,
+    _time_grid,
+    preset_config,
+    reference_dia_config,
+    run_preset,
+    run_scenario,
+)
+from kzring.sampler import sample_initial_directions
+from kzring.scaling import (
+    DomainPartition,
+    QuenchSchedule,
+    domain_partition,
+    field_at,
+    freeze_out_time,
+)
 
 ONE_LINER_ATOL = 1e-12
 
@@ -104,3 +123,77 @@ def test_array_call_equals_the_scalar_calls(module, make_config):
         assert all(type(c) is float for c in scalar)
         assert np.array_equal(fn(cfg, t), scalar)
         assert np.array_equal(fn(cfg, t[::-1].reshape(3, 67)), np.reshape(scalar[::-1], (3, 67)))
+
+
+# The benchmark's sweep: fig5 scaled to 200 couplings x 200 times.
+BENCH_SWEEP = ScenarioConfig(
+    mode="sweep-g", label="sweep", n=1000, h_para=5.0, h0=1.001, v=5e-5,
+    t0_offset=0.0, t_points=200, g_sweep_points=200, g_sweep_max=0.3,
+    g_max=0.3, g_to_h_max=0.3,
+)
+
+
+def assert_batch_is_the_single_calls(module, configs, t):
+    batch = module.concurrences(configs, t)
+    assert batch.shape == (len(configs),) + np.shape(t)
+    assert np.array_equal(batch, [module.concurrence(c, t) for c in configs])
+
+
+@pytest.mark.parametrize(
+    "cfg", [BENCH_SWEEP, preset_config("fig5")[0]], ids=["bench-sweep", "fig5"]
+)
+def test_sweep_batch_equals_the_per_coupling_calls(cfg):
+    _, para_configs, dia_configs = _sweep_configs(cfg)
+    assert len(dia_configs) == cfg.g_sweep_points
+    assert_batch_is_the_single_calls(para, para_configs, _time_grid(cfg))
+    assert_batch_is_the_single_calls(dia, dia_configs, _time_grid(cfg))
+
+
+def test_ensemble_batch_equals_the_per_realization_calls():
+    cfg = dataclasses.replace(preset_config("fig4")[2], realizations=100, seed=12345)
+    configs = list(_dia_configs(cfg))
+    assert len({c.ensemble for c in configs}) == 100
+    assert configs[0].partition.n_d == 12
+    assert_batch_is_the_single_calls(dia, configs, _time_grid(cfg))
+
+
+def test_mixed_batch_maps_each_config_to_its_own_row():
+    base = reference_dia_config()
+    other = reference_dia_config(seed=8).ensemble
+    configs = [
+        dataclasses.replace(base, g=0.1),
+        dataclasses.replace(base, g=0.05, ensemble=other),
+        dataclasses.replace(base, g=0.1, ensemble=other),
+        base,
+    ]
+    t = np.linspace(0.0, 1.0, 201)[::-1].reshape(3, 67)
+    assert_batch_is_the_single_calls(dia, configs, t)
+    assert_batch_is_the_single_calls(dia, configs, 0.4)
+    pc = para.ParaConfig(n=120, g=1.0 / 6.0, h=2.0)
+    para_configs = [dataclasses.replace(pc, g=g) for g in (0.2, 0.05, 0.2, 0.0)]
+    assert_batch_is_the_single_calls(para, para_configs, t)
+
+
+def test_batches_reject_configs_that_differ_beyond_g_and_ensemble():
+    base = reference_dia_config()  # 20 spins, 2 domains of 10
+    four = DomainPartition(xi_d=5, n_d=4, s_d=2.5, j_eff=base.partition.j_eff)
+    four_dirs = sample_initial_directions(4, 0.32, 0.33, seed=7)
+    wide = DomainPartition(xi_d=20, n_d=2, s_d=10.0, j_eff=base.partition.j_eff)
+    different = [
+        dataclasses.replace(base, n=40, partition=wide),
+        dataclasses.replace(base, schedule=QuenchSchedule(h0=1.095, v=0.02)),
+        dataclasses.replace(base, t0=0.1),
+        dataclasses.replace(base, partition=four, ensemble=four_dirs),
+        dataclasses.replace(base, g_max=0.3),
+    ]
+    t = np.linspace(0.0, 1.0, 5)
+    for cfg in different:
+        with pytest.raises(ValueError):
+            dia.concurrences([base, cfg], t)
+    pc = para.ParaConfig(n=120, g=1.0 / 6.0, h=2.0)
+    for change in (dict(n=121), dict(h=2.5), dict(g_to_h_max=0.3)):
+        with pytest.raises(ValueError):
+            para.concurrences([pc, dataclasses.replace(pc, **change)], t)
+    for module in (para, dia):
+        with pytest.raises(ValueError):
+            module.concurrences([], t)

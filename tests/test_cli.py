@@ -111,6 +111,17 @@ def test_invalid_physics_exits_two(tmp_path):
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args", [["sweep-g"], ["preset", "fig5"]], ids=["sweep-g", "preset-fig5"]
+)
+def test_sweep_with_several_realizations_exits_two(tmp_path, args):
+    proc = run_cli([*args, "--realizations", "3", "--out", "out"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "realizations" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_unwritable_output_exits_one(tmp_path):
     cfg = write_config(tmp_path, "c.json")
     proc = run_cli(

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from kzring import exact
 from kzring.concurrence import DeviceState, wootters_concurrence
 from kzring.errors import StepControlError
 from kzring.exact import (
@@ -13,6 +15,7 @@ from kzring.exact import (
     build_hamiltonian,
     device_states_constant_field,
     ground_state_ring,
+    magnetization_diagonal,
     propagate,
     reduced_device_state,
     ring_hamiltonian,
@@ -32,6 +35,18 @@ def test_hamiltonian_is_hermitian():
     spec = HamiltonianSpec(n=5, g=0.13, field=1.7)
     h = build_hamiltonian(spec, 0.0)
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
+
+
+def test_ring_hamiltonians_share_one_unchanged_bond_matrix():
+    fresh = exact._bond_matrix.__wrapped__
+    for h in (0.0, 0.5, 0.545, 1.3):
+        built = ring_hamiltonian(10, h)
+        ref = (fresh(10) - h * sp.diags(magnetization_diagonal(10))).tocsr()
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(built, part), getattr(ref, part))
+    cached = exact._bond_matrix(10)
+    assert cached is exact._bond_matrix(10)
+    assert (cached != fresh(10)).nnz == 0
 
 
 def test_zero_coupling_decouples_device_blocks():

@@ -7,6 +7,8 @@ import os
 import numpy as np
 import pytest
 
+from kzring import dia as dia_mod
+from kzring import para as para_mod
 from kzring.errors import ConfigError
 from kzring.runner import (
     DataTable,
@@ -143,6 +145,26 @@ def test_default_sweep_respects_its_own_guards():
     run_scenario(cfg)
     with pytest.raises(ConfigError):
         ScenarioConfig(mode="sweep-g", g_sweep_max=0.4)
+
+
+def test_sweep_rejects_multiple_realizations():
+    # a sweep evaluates one domain realization; more would be silently dropped
+    with pytest.raises(ConfigError, match="realizations"):
+        ScenarioConfig(mode="sweep-g", realizations=3)
+    with pytest.raises(ConfigError, match="realizations"):
+        run_preset("fig5", realizations=3)
+
+
+@pytest.mark.parametrize("module", [dia_mod, para_mod], ids=["dia", "para"])
+def test_sweep_table_checks_the_unit_interval(monkeypatch, module):
+    def out_of_range(configs, t):
+        return np.full((len(configs), len(t)), 1.5)
+
+    monkeypatch.setattr(module, "concurrences", out_of_range)
+    cfg = ScenarioConfig(mode="sweep-g", g_sweep_points=3, t_points=4)
+    column = "concurrence_dia" if module is dia_mod else "concurrence_para"
+    with pytest.raises(ValueError, match=f"{column} leaves"):
+        run_scenario(cfg)
 
 
 def test_sweep_run_is_g_major():
