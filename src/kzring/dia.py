@@ -20,10 +20,11 @@ domain delta.
 The dynamics functions take a scalar t (returning a float) or an array of
 times, and :func:`concurrences` takes a batch of configs that differ only
 in g and ensemble.  All run one batched kernel that computes the time
-factors once and the branch rotors once per distinct g, and performs, per
-coupling, time and domain, the same floating-point operations as building
-the rotors' ScsDirection objects and rotation matrices and rotating each
-domain's Bloch vector.
+factors once and the branch rotors once per distinct g.  It rotates each
+domain's Bloch vector by all the rotors of its g in one matrix-vector
+product per (config, domain), and still performs, per coupling, time and
+domain, the same floating-point operations as building the rotors'
+ScsDirection objects and 3 x 3 rotation matrices and rotating the vector.
 """
 
 from __future__ import annotations
@@ -147,9 +148,10 @@ def displacement_parameter(g: float, h_t, t):
     return (g / h_t) * ((np.cos(th) - 1.0) + 1j * np.sin(th))
 
 
-# Largest (config, time, domain) block whose Bloch-vector products are held
-# at once: the batch is worked through in blocks of configs, so a batch
-# costs no more memory than a few configs.
+# Largest (config, time, domain) block whose rotated Bloch vectors are held
+# at once: the batch is worked through in blocks of configs, each block one
+# matrix-vector product per (config, domain), so a batch costs no more
+# memory than a few configs.
 _BLOCK_POINTS = 1 << 15
 
 
@@ -162,26 +164,34 @@ def _overlaps(configs: tuple[DiaConfig, ...], times: np.ndarray) -> np.ndarray:
     """
     first = configs[0]
     flat = times.reshape(-1)
+    n_t = len(flat)
     g, row = np.unique([c.g for c in configs], return_inverse=True)
     h_t = field_at(first.schedule, first.t0 + flat)
     f = displacement_parameter(g[:, None], h_t, flat).reshape(-1)
-    # (g, time, 1, 3, 3) rotors against (config, 1, domain, 3, 1) initial
-    # Bloch vectors
-    shape = (len(g), len(flat), 1, 3, 3)
+    # The T rotors of each g stacked row-wise, (g, 1, 3T, 3), against
+    # (config, domain, 3, 1) initial Bloch vectors: one (3T x 3) @ (3 x 1)
+    # matrix-vector product per (config, domain) rounds each row as a 3 x 3
+    # product per time does (measured; tests/test_batched_kernels.py replays
+    # the per-time products).  One (3T x 3) @ (3 x D) product per config
+    # would not: its kernels round differently.
+    shape = (len(g), 1, 3 * n_t, 3)
     rot_plus = rotation_matrices(*omega_angles(f)).reshape(shape)
     rot_minus = rotation_matrices(*omega_angles(-f)).reshape(shape)
     n_d = first.partition.n_d
     dirs = [d for c in configs for d in c.ensemble.directions]
     n0 = bloch_vectors(np.array([d.theta for d in dirs]), np.array([d.phi for d in dirs]))
-    n0 = n0.reshape(len(configs), 1, n_d, 3, 1)
-    out = np.empty((len(configs), len(flat)))
-    step = max(1, _BLOCK_POINTS // (len(flat) * n_d))
+    n0 = n0.reshape(len(configs), n_d, 3, 1)
+    out = np.empty((len(configs), n_t))
+    step = max(1, _BLOCK_POINTS // (n_t * n_d))
     for start in range(0, len(configs), step):
         block = slice(start, start + step)
-        plus = rot_plus[row[block]] @ n0[block]
-        minus = rot_minus[row[block]] @ n0[block]
-        dot = (np.swapaxes(plus, -1, -2) @ minus)[..., 0, 0]
+        plus = (rot_plus[row[block]] @ n0[block]).reshape(-1, n_d, n_t, 1, 3)
+        minus = (rot_minus[row[block]] @ n0[block]).reshape(-1, n_d, n_t, 3, 1)
+        dot = (plus @ minus)[..., 0, 0]
         cosines = np.sqrt(np.clip(0.5 * (1.0 + dot), 0.0, 1.0))
+        # (config, time, domain), contiguous, so the product over domains
+        # reduces each point's cosines in domain order
+        cosines = np.ascontiguousarray(np.swapaxes(cosines, 1, 2))
         out[block] = np.prod(cosines ** (2.0 * first.partition.s_d), axis=-1)
     return out.reshape((len(configs),) + times.shape)
 

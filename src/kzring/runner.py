@@ -59,6 +59,9 @@ __all__ = [
 
 MODES = ("para", "dia", "compare", "sweep-g", "oracle-check")
 PRESET_NAMES = ("fig3", "fig4", "fig5")
+# ScenarioConfig fields that count something; a float or bool is refused
+# rather than truncated or left to fail deep inside a run.
+_INTEGER_FIELDS = ("n", "t_points", "seed", "realizations", "n_ref", "g_sweep_points")
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,12 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.t_points < 2:
             raise ConfigError("a trace needs at least 2 grid points")
         if self.t_stop < self.t_start:

@@ -1,14 +1,20 @@
 """Batched closed forms: array calls, scalar calls and the one-line formulas.
 
 The runtime kernels replay the per-point rotation arithmetic over whole time
-grids and whole batches of configs.  Three independent checks pin them: an
-array call must return exactly the scalar calls, a batch call exactly the
-one-config calls, and the result must agree with the closed forms written
-as one-line trigonometric formulas, whose different arithmetic leaves
-differences of a few ulps of the unit interval.
+grids and whole batches of configs.  Independent checks pin them: an array
+call must return exactly the scalar calls, a batch call exactly the
+one-config calls, the dia kernel exactly a point-by-point replay with one
+3 x 3 rotation per time and domain, and the bytes must not depend on the
+BLAS thread count.  The result must also agree with the closed forms
+written as one-line trigonometric formulas, whose different arithmetic
+leaves differences of a few ulps of the unit interval.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +32,7 @@ from kzring.runner import (
     run_scenario,
 )
 from kzring.sampler import sample_initial_directions
+from kzring.scs import ScsDirection, rotation_matrix
 from kzring.scaling import (
     DomainPartition,
     QuenchSchedule,
@@ -125,6 +132,30 @@ def test_array_call_equals_the_scalar_calls(module, make_config):
         assert np.array_equal(fn(cfg, t[::-1].reshape(3, 67)), np.reshape(scalar[::-1], (3, 67)))
 
 
+def dia_point_replay(cfg: DiaConfig, t) -> np.ndarray:
+    """The per-point arithmetic the dia kernel batches.
+
+    For each time and each domain, rotate the domain's Bloch vector by the
+    3 x 3 matrix of each branch rotor, take the dot and the half-angle
+    cosine; then raise the point's array of domain cosines to 2 S_d and
+    multiply it out in domain order.
+    """
+    h_t = field_at(cfg.schedule, cfg.t0 + t)
+    f = dia.displacement_parameter(cfg.g, h_t, t)
+    out = np.empty(len(t))
+    for k, fk in enumerate(f):
+        rot_plus = rotation_matrix(ScsDirection.from_omega(fk))
+        rot_minus = rotation_matrix(ScsDirection.from_omega(-fk))
+        cosines = np.empty(len(cfg.ensemble.directions))
+        for i, d in enumerate(cfg.ensemble.directions):
+            n0 = d.bloch().reshape(3, 1)
+            a, b = rot_plus @ n0, rot_minus @ n0
+            dot = (a.T @ b)[0, 0]
+            cosines[i] = np.sqrt(np.clip(0.5 * (1.0 + dot), 0.0, 1.0))
+        out[k] = np.prod(cosines ** (2.0 * cfg.partition.s_d))
+    return out
+
+
 # The benchmark's sweep: fig5 scaled to 200 couplings x 200 times.
 BENCH_SWEEP = ScenarioConfig(
     mode="sweep-g", label="sweep", n=1000, h_para=5.0, h0=1.001, v=5e-5,
@@ -197,3 +228,52 @@ def test_batches_reject_configs_that_differ_beyond_g_and_ensemble():
     for module in (para, dia):
         with pytest.raises(ValueError):
             module.concurrences([], t)
+
+
+@pytest.mark.parametrize(
+    "make_configs, t",
+    [
+        (lambda: [reference_dia_config()], np.linspace(0.0, 1.0, 201)),
+        (lambda: [fig4_fast_quench_config()], np.linspace(0.0, 1.0, 201)),
+        (lambda: _sweep_configs(BENCH_SWEEP)[2][::99], _time_grid(BENCH_SWEEP)),
+    ],
+    ids=["dia-reference", "dia-fig4-12-domains", "bench-sweep-3-rows"],
+)
+def test_dia_kernel_repeats_the_per_point_arithmetic(make_configs, t):
+    configs = make_configs()
+    expected = [dia_point_replay(cfg, t) for cfg in configs]
+    assert np.array_equal(dia.concurrences(configs, t), expected)
+
+
+# Closed forms on configs with synthetic magnetizations, so no
+# diagonalization (whose last bits follow the BLAS thread count) is involved.
+THREAD_PROBE = """
+import dataclasses
+import hashlib
+import numpy as np
+from kzring import dia, para
+from kzring.runner import reference_dia_config
+t = np.linspace(0.0, 1.0, 20001)
+dia_configs = [reference_dia_config(seed=7), reference_dia_config(seed=3)]
+pc = para.ParaConfig(n=120, g=1.0 / 6.0, h=2.0)
+para_configs = [pc, dataclasses.replace(pc, g=0.05)]
+digest = hashlib.sha256()
+digest.update(dia.concurrences(dia_configs, t).tobytes())
+digest.update(para.concurrences(para_configs, t).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_closed_forms_do_not_depend_on_the_blas_thread_count():
+    kzring_root = str(Path(dia.__file__).resolve().parent.parent)
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        rest = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = kzring_root + (os.pathsep + rest if rest else "")
+        proc = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1, digests

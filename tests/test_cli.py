@@ -112,6 +112,19 @@ def test_invalid_physics_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "fields",
+    [{"t_points": 2.5}, {"realizations": 2.0}, {"n": 120.0}, {"seed": -1}, {"n_ref": 14.5}],
+)
+def test_non_integer_count_exits_two(tmp_path, fields):
+    cfg = write_config(tmp_path, "bad.json", **fields)
+    proc = run_cli(["dia", "--config", cfg, "--out", "out"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and next(iter(fields)) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "args", [["sweep-g"], ["preset", "fig5"]], ids=["sweep-g", "preset-fig5"]
 )
 def test_sweep_with_several_realizations_exits_two(tmp_path, args):

@@ -52,6 +52,24 @@ def test_config_rejects_unknown_keys_and_bad_grids():
         ScenarioConfig(realizations=0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"t_points": 2.5},
+        {"realizations": 2.0},
+        {"n": 120.0},
+        {"n_ref": 14.5},
+        {"g_sweep_points": 50.0},
+        {"seed": True},
+        {"seed": -1},
+    ],
+)
+def test_config_rejects_non_integer_counts_and_negative_seeds(fields):
+    (name,) = fields
+    with pytest.raises(ConfigError, match=name):
+        ScenarioConfig.from_json(json.dumps(fields))
+
+
 def test_config_mode_mismatch_is_an_error():
     with pytest.raises(ConfigError):
         ScenarioConfig.from_json('{"mode": "para"}', mode="dia")
