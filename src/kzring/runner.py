@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from . import dia as dia_mod
 from . import para as para_mod
+from ._csvtext import csv_lines
 from .concurrence import closed_form_check
 from .errors import ConfigError
 from .exact import scs_cross_check
@@ -105,6 +106,14 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # The label prefixes every output file name, so it must not leave
+        # the output directory.
+        if not isinstance(self.label, str) or self.label in (".", "..") or any(
+            sep and sep in self.label for sep in ("/", os.sep, os.altsep)
+        ):
+            raise ConfigError(
+                f"label must be a plain file-name prefix, got {self.label!r}"
+            )
         if self.t_points < 2:
             raise ConfigError("a trace needs at least 2 grid points")
         if self.t_stop < self.t_start:
@@ -544,20 +553,22 @@ def _format_cell(value) -> str:
 def emit_csv(table: DataTable, path: str) -> None:
     """Write metadata (# key = value), a header row, then 12-digit data rows.
 
+    Each numeric cell is exactly the text of `'%.12g' % value`, built
+    vectorised a block of rows at a time; zeros, non-finite cells and
+    magnitudes outside [1e-10, 1e10) fall back to per-cell formatting.
     Output is UTF-8 with LF endings and is byte-deterministic for a given
     table.
     """
     lines = [f"# {k} = {v}" for k, v in table.metadata.items()]
     lines.append(",".join(table.columns))
-    numeric = [isinstance(c, np.ndarray) for c in table.data]
-    template = ",".join("%.12g" if is_num else "%s" for is_num in numeric)
-    cells = [
-        c.tolist() if is_num else [_format_cell(v) for v in c]
-        for c, is_num in zip(table.data, numeric)
+    head = ("\n".join(lines) + "\n").encode("utf-8")
+    columns = [
+        c if isinstance(c, np.ndarray) else [_format_cell(v) for v in c]
+        for c in table.data
     ]
-    lines.extend(template % row for row in zip(*cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.writelines(csv_lines(columns))
 
 
 def parse_csv(path: str) -> DataTable:

@@ -135,6 +135,16 @@ def test_sweep_with_several_realizations_exits_two(tmp_path, args):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("label", ["../escaped", "sub/x", ".", ".."])
+def test_label_outside_the_output_directory_exits_two(tmp_path, label):
+    cfg = write_config(tmp_path, "c.json", label=label)
+    proc = run_cli(["para", "--config", cfg, "--out", "out"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "label" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 def test_unwritable_output_exits_one(tmp_path):
     cfg = write_config(tmp_path, "c.json")
     proc = run_cli(

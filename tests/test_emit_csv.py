@@ -1,0 +1,72 @@
+"""emit_csv bytes pinned to the per-row template writer it replaced."""
+
+import numpy as np
+import pytest
+
+from kzring._csvtext import BLOCK_ROWS
+from kzring.runner import DataTable, _format_cell, emit_csv, oracle_report, run_preset
+
+
+def reference_csv(table: DataTable) -> bytes:
+    """The per-row `template % row` writer that emit_csv used to run."""
+    lines = [f"# {k} = {v}" for k, v in table.metadata.items()]
+    lines.append(",".join(table.columns))
+    numeric = [isinstance(c, np.ndarray) for c in table.data]
+    template = ",".join("%.12g" if is_num else "%s" for is_num in numeric)
+    cells = [
+        c.tolist() if is_num else [_format_cell(v) for v in c]
+        for c, is_num in zip(table.data, numeric)
+    ]
+    lines.extend(template % row for row in zip(*cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def emitted(table: DataTable, tmp_path) -> bytes:
+    path = tmp_path / "table.csv"
+    emit_csv(table, str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "oracle-check"])
+def test_preset_and_oracle_tables_match_the_template_writer(name, tmp_path):
+    if name == "oracle-check":
+        tables = {"oracle": oracle_report()}
+    else:
+        tables = run_preset(name).tables
+    for key, table in tables.items():
+        assert emitted(table, tmp_path) == reference_csv(table), key
+
+
+def numeric_table(rows: int, seed: int) -> DataTable:
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-11, 1e12])
+    columns = (
+        np.linspace(0.0, 1.0, rows),
+        rng.uniform(-1.0, 1.0, rows) * 10.0 ** rng.integers(-14, 14, rows),
+        rng.choice(special, rows),
+    )
+    return DataTable.from_columns(("t", "value", "special"), columns, {"rows": str(rows)})
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_row_counts_at_the_block_edges(rows, tmp_path):
+    table = numeric_table(rows, seed=rows)
+    assert emitted(table, tmp_path) == reference_csv(table)
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS + 1])
+def test_multibyte_strings_and_mixed_tuple_columns(rows, tmp_path):
+    words = ["α", "", "plain", "日本語のセル", "😀 ok", "naïve-ß", "x" * 60]
+    mixed = ["ü", 1.5, "", -2.5e-12, float("nan"), "✓", 1e15]
+    table = DataTable.from_columns(
+        ("label", "x", "mixed", "y"),
+        (
+            tuple(words[i % len(words)] for i in range(rows)),
+            np.arange(rows) * 0.1,
+            tuple(mixed[i % len(mixed)] for i in range(rows)),
+            np.full(rows, -1.0 / 3.0),
+        ),
+        {"note": "strings é"},
+    )
+    assert isinstance(table.data[2], tuple)
+    assert emitted(table, tmp_path) == reference_csv(table)

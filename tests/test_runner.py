@@ -70,6 +70,18 @@ def test_config_rejects_non_integer_counts_and_negative_seeds(fields):
         ScenarioConfig.from_json(json.dumps(fields))
 
 
+@pytest.mark.parametrize("label", ["../escaped", "sub/x", ".", "..", os.sep + "x", 3])
+def test_config_rejects_labels_that_leave_the_output_directory(label):
+    with pytest.raises(ConfigError, match="label"):
+        ScenarioConfig(mode="para", label=label)
+
+
+def test_preset_labels_stay_valid():
+    labels = [cfg.label for name in ("fig3", "fig4", "fig5") for cfg in preset_config(name)]
+    assert labels == ["fig3", "v0.0006", "v0.0022", "v0.02", "fig5"]
+    assert ScenarioConfig(label="..x").label == "..x"
+
+
 def test_config_mode_mismatch_is_an_error():
     with pytest.raises(ConfigError):
         ScenarioConfig.from_json('{"mode": "para"}', mode="dia")
