@@ -25,6 +25,8 @@ domain's Bloch vector by all the rotors of its g in one matrix-vector
 product per (config, domain), and still performs, per coupling, time and
 domain, the same floating-point operations as building the rotors'
 ScsDirection objects and 3 x 3 rotation matrices and rotating the vector.
+The angles of both branch rotors come from one
+:func:`~kzring.scs.omega_angles` pass, with no Python call per point.
 """
 
 from __future__ import annotations
@@ -175,8 +177,10 @@ def _overlaps(configs: tuple[DiaConfig, ...], times: np.ndarray) -> np.ndarray:
     # the per-time products).  One (3T x 3) @ (3 x D) product per config
     # would not: its kernels round differently.
     shape = (len(g), 1, 3 * n_t, 3)
-    rot_plus = rotation_matrices(*omega_angles(f)).reshape(shape)
-    rot_minus = rotation_matrices(*omega_angles(-f)).reshape(shape)
+    theta, phi_plus, phi_minus = omega_angles(f)
+    rot_plus = rotation_matrices(theta, phi_plus).reshape(shape)
+    rot_minus = rotation_matrices(theta, phi_minus).reshape(shape)
+    del theta, phi_plus, phi_minus  # not held through the blocked products
     n_d = first.partition.n_d
     dirs = [d for c in configs for d in c.ensemble.directions]
     n0 = bloch_vectors(np.array([d.theta for d in dirs]), np.array([d.phi for d in dirs]))

@@ -19,7 +19,11 @@ The dynamics functions take a scalar t (returning a float) or an array of
 times, and :func:`concurrences` takes a batch of configs that differ only
 in g.  All run one batched kernel that computes the time factors once and
 performs, per coupling and time, the same floating-point operations as
-building the two ScsDirection objects and dotting their Bloch vectors.
+building the two ScsDirection objects, dotting their Bloch vectors and
+raising the half-angle cosine to N with Python's float ** int.  It makes no
+Python call per point: the branch phases come from one
+:func:`~kzring.scs.omega_angles` pass and the power from ``np.float_power``,
+both the libm routines the scalar route calls.
 """
 
 from __future__ import annotations
@@ -72,11 +76,6 @@ class ParaConfig:
             )
 
 
-# Python's float ** int applied elementwise: np.power can differ from it in
-# the last bit.
-_POW = np.frompyfunc(pow, 2, 1)
-
-
 def _displacements(g, h: float, t):
     """l(t) for a coupling g, or an array of couplings broadcast against t."""
     ht = np.multiply(h, t)
@@ -99,11 +98,14 @@ def _overlaps(configs: tuple[ParaConfig, ...], times: np.ndarray) -> np.ndarray:
     first = configs[0]
     g = np.array([c.g for c in configs])[:, None]
     ell = _displacements(g, first.h, times.reshape(-1)).reshape(-1)
-    plus = bloch_vectors(*omega_angles(ell))
-    minus = bloch_vectors(*omega_angles(-ell))
+    theta, phi_plus, phi_minus = omega_angles(ell)
+    plus = bloch_vectors(theta, phi_plus)
+    minus = bloch_vectors(theta, phi_minus)
     dot = (plus[:, None, :] @ minus[:, :, None])[:, 0, 0]
     cos_half = np.sqrt(np.clip(0.5 * (1.0 + dot), 0.0, 1.0))
-    out = _POW(cos_half, first.n).astype(float)
+    # libm pow, as Python's float ** int calls it; np.power can differ from
+    # it in the last bit
+    out = np.float_power(cos_half, float(first.n))
     return out.reshape((len(configs),) + times.shape)
 
 

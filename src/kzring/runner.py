@@ -21,6 +21,7 @@ import dataclasses
 import json
 import math
 import os
+import unicodedata
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,10 +108,11 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # The label prefixes every output file name, so it must not leave
-        # the output directory.
+        # the output directory; it is also written into one-line gnuplot
+        # strings and comments, which a control character would break.
         if not isinstance(self.label, str) or self.label in (".", "..") or any(
             sep and sep in self.label for sep in ("/", os.sep, os.altsep)
-        ):
+        ) or any(unicodedata.category(ch) == "Cc" for ch in self.label):
             raise ConfigError(
                 f"label must be a plain file-name prefix, got {self.label!r}"
             )
@@ -602,15 +604,20 @@ def parse_csv(path: str) -> DataTable:
     return DataTable(columns, rows, metadata)
 
 
+def _gp_str(text: str) -> str:
+    """A gnuplot single-quoted string: a quote inside is written twice."""
+    return "'" + text.replace("'", "''") + "'"
+
+
 def emit_plot_script(keys, label: str, mode: str, path: str) -> None:
     """Write a gnuplot script rendering the emitted CSVs (relative paths only)."""
     lines = [
-        f"# gnuplot script for the '{label}' run (mode: {mode})",
+        f"# gnuplot script for the {_gp_str(label)} run (mode: {mode})",
         "set datafile separator ','",
         "set key autotitle columnhead",
         "set grid",
     ]
-    files = {key: f"{label}_{key}.csv" for key in keys}
+    files = {key: _gp_str(f"{label}_{key}.csv") for key in keys}
     if mode == "compare":
         lines += [
             "set xlabel 't - t0'",
@@ -618,13 +625,13 @@ def emit_plot_script(keys, label: str, mode: str, path: str) -> None:
             "set multiplot",
             "set size 1, 1",
             "set origin 0, 0",
-            f"plot '{files['dia']}' using 1:2 with lines lw 2 title 'frozen domains', \\",
-            f"     '{files['para']}' using 1:2 with lines lw 2 title 'paramagnet'",
+            f"plot {files['dia']} using 1:2 with lines lw 2 title 'frozen domains', \\",
+            f"     {files['para']} using 1:2 with lines lw 2 title 'paramagnet'",
             "set size 0.42, 0.38",
             "set origin 0.5, 0.52",
             "set xlabel ''",
             "set ylabel 'difference'",
-            f"plot '{files['difference']}' using 1:2 with lines notitle",
+            f"plot {files['difference']} using 1:2 with lines notitle",
             "unset multiplot",
         ]
     elif mode == "sweep-g":
@@ -634,12 +641,12 @@ def emit_plot_script(keys, label: str, mode: str, path: str) -> None:
             "set ylabel 't - t0'",
             "set cblabel 'concurrence difference'",
             "set view map",
-            f"plot '{name}' using 1:2:5 with image",
+            f"plot {name} using 1:2:5 with image",
         ]
     else:
         lines += ["set xlabel 't - t0'", "set ylabel 'concurrence'"]
         plot_parts = [
-            f"'{fname}' using 1:2 with lines lw 2 title '{key}'"
+            f"{fname} using 1:2 with lines lw 2 title {_gp_str(key)}"
             for key, fname in files.items()
         ]
         lines.append("plot " + ", \\\n     ".join(plot_parts))

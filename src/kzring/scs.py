@@ -100,32 +100,40 @@ def rotation_matrix(d: ScsDirection) -> np.ndarray:
     return rotation_matrices(np.array([d.theta]), np.array([d.phi]))[0]
 
 
-# math.atan2 applied elementwise: np.arctan2 can differ from it in the last
-# bit, and omega_angles must reproduce ScsDirection.from_omega exactly.
-_ATAN2 = np.frompyfunc(math.atan2, 2, 1)
-
-
-def omega_angles(omega) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical (theta, phi) of a 1-D array of displacement parameters.
+def omega_angles(omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical (theta, phi_plus, phi_minus) of the directions of +Omega and
+    -Omega, for a 1-D array of displacement parameters.
 
     Elementwise the same arithmetic, in the same order, as
-    ``ScsDirection.from_omega``: theta = 2|Omega| folded into [0, pi],
-    phi = arg(Omega) shifted by pi on a fold, taken mod 2pi and pinned to 0
-    at either pole.
+    ``ScsDirection.from_omega(+-Omega)``: theta = 2|Omega| folded into
+    [0, pi], phi = arg(+-Omega) shifted by pi on a fold, taken mod 2pi and
+    pinned to 0 at either pole.  theta, the fold and the pole do not depend
+    on the sign of Omega, so they are computed once for both.
+
+    The phase is the imaginary part of the complex log, which glibc's
+    ``clog`` sets to ``atan2(imag, real)``, signed zeros included: the value
+    ``cmath.phase`` returns.  ``np.arctan2`` and ``np.angle`` may run SIMD
+    code that differs from libm in the last bit.
     """
     omega = np.asarray(omega, dtype=complex)
     theta = 2.0 * np.hypot(omega.real, omega.imag)
     # a finite theta implies finite parts, hence a finite phase
     if not np.isfinite(theta).all():
         raise ValueError("direction angles must be finite")
-    phi = _ATAN2(omega.imag, omega.real).astype(float)
     theta %= _TWO_PI
     reflex = theta > math.pi
     theta[reflex] = _TWO_PI - theta[reflex]
-    phi[reflex] += math.pi
-    phi %= _TWO_PI
-    phi[(theta == 0.0) | (theta == math.pi)] = 0.0
-    return theta, phi
+    pole = (theta == 0.0) | (theta == math.pi)
+    angles = [theta]
+    for branch in (omega, -omega):
+        with np.errstate(divide="ignore"):  # log(0) has real part -inf
+            phi = np.log(branch).imag
+        phi[reflex] += math.pi
+        # a new array, so the complex log behind the view is freed
+        phi = phi % _TWO_PI
+        phi[pole] = 0.0
+        angles.append(phi)
+    return tuple(angles)
 
 
 # The stacks below are filled in place, so every row and matrix is

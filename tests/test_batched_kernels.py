@@ -3,8 +3,9 @@
 The runtime kernels replay the per-point rotation arithmetic over whole time
 grids and whole batches of configs.  Independent checks pin them: an array
 call must return exactly the scalar calls, a batch call exactly the
-one-config calls, the dia kernel exactly a point-by-point replay with one
-3 x 3 rotation per time and domain, and the bytes must not depend on the
+one-config calls, each kernel exactly a point-by-point replay through the
+scalar ScsDirection route (para with Python's float ** int, dia with one
+3 x 3 rotation per time and domain), and the bytes must not depend on the
 BLAS thread count.  The result must also agree with the closed forms
 written as one-line trigonometric formulas, whose different arithmetic
 leaves differences of a few ulps of the unit interval.
@@ -243,6 +244,40 @@ def test_dia_kernel_repeats_the_per_point_arithmetic(make_configs, t):
     configs = make_configs()
     expected = [dia_point_replay(cfg, t) for cfg in configs]
     assert np.array_equal(dia.concurrences(configs, t), expected)
+
+
+def para_point_replay(cfg: para.ParaConfig, t) -> np.ndarray:
+    """The per-point arithmetic the para kernel batches.
+
+    For each time, build the two branch directions with the scalar
+    ScsDirection route (cmath.phase), dot their Bloch vectors, take the
+    half-angle cosine and raise it to N with Python's float ** int.
+    """
+    ell = para.displacement_parameter(cfg, t)
+    out = np.empty(len(t))
+    for k, lk in enumerate(ell):
+        plus = ScsDirection.from_omega(lk).bloch()
+        minus = ScsDirection.from_omega(-lk).bloch()
+        dot = (plus.reshape(1, 3) @ minus.reshape(3, 1))[0, 0]
+        cos_half = float(np.sqrt(np.clip(0.5 * (1.0 + dot), 0.0, 1.0)))
+        out[k] = pow(cos_half, cfg.n)
+    return out
+
+
+@pytest.mark.parametrize(
+    "make_configs, t",
+    [
+        (lambda: [para.ParaConfig(n=120, g=1.0 / 6.0, h=2.0)], np.linspace(0.0, 1.0, 201)),
+        (lambda: _sweep_configs(preset_config("fig5")[0])[1],
+         _time_grid(preset_config("fig5")[0])),
+        (lambda: _sweep_configs(BENCH_SWEEP)[1][::99], _time_grid(BENCH_SWEEP)),
+    ],
+    ids=["para-fig3", "fig5", "bench-sweep-3-rows"],
+)
+def test_para_kernel_repeats_the_per_point_arithmetic(make_configs, t):
+    configs = make_configs()
+    expected = [para_point_replay(cfg, t) for cfg in configs]
+    assert np.array_equal(para.concurrences(configs, t), expected)
 
 
 # Closed forms on configs with synthetic magnetizations, so no

@@ -145,6 +145,15 @@ def test_label_outside_the_output_directory_exits_two(tmp_path, label):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
+def test_label_with_a_newline_exits_two(tmp_path):
+    cfg = write_config(tmp_path, "c.json", label="x\nreplot")
+    proc = run_cli(["para", "--config", cfg, "--out", "out"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "label" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 def test_unwritable_output_exits_one(tmp_path):
     cfg = write_config(tmp_path, "c.json")
     proc = run_cli(

@@ -319,6 +319,20 @@ def test_plot_scripts_reference_their_csvs(tmp_path):
     assert str(tmp_path) not in text  # relative paths only
 
 
+def test_plot_script_doubles_quotes_inside_gnuplot_strings(tmp_path):
+    path = tmp_path / "a'b.gp"
+    emit_plot_script(["para"], "a'b", "para", str(path))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# gnuplot script for the 'a''b' run (mode: para)"
+    assert lines[-1] == "plot 'a''b_para.csv' using 1:2 with lines lw 2 title 'para'"
+
+
+@pytest.mark.parametrize("label", ["a\nb", "a\rb", "tab\tlabel", "nul\x00", "del\x7f"])
+def test_label_with_a_control_character_is_rejected(label):
+    with pytest.raises(ConfigError, match="label"):
+        ScenarioConfig(label=label)
+
+
 def test_metadata_embeds_the_full_config():
     res = run_scenario(ScenarioConfig(mode="para", label="x", **QUICK))
     embedded = json.loads(res.tables["para"].metadata["config"])

@@ -12,6 +12,7 @@ from kzring.scs import (
     dicke_vector,
     displacement_matrix,
     ladder_matrices,
+    omega_angles,
     overlap_exact,
     overlap_magnitude,
     rotation_matrix,
@@ -36,6 +37,54 @@ def test_omega_round_trip():
     back = ScsDirection.from_omega(d.omega)
     assert back.theta == pytest.approx(d.theta)
     assert back.phi == pytest.approx(d.phi)
+
+
+def awkward_omegas() -> np.ndarray:
+    """Displacement parameters where a phase or a fold is easy to get wrong:
+    signed zeros, both axes, subnormals, +-1e+-300, theta = 2|Omega| on and
+    next to pi and 2pi, and seeded points within 1e-9 of |Omega| = 1."""
+    tiny = 5e-324
+    magnitudes = [
+        0.0, tiny, 3 * tiny, 2.2250738585072014e-308, 1e-300, 1e-9, 0.5, 1.0,
+        1e300, math.pi / 2, np.nextafter(math.pi / 2, 0.0), np.nextafter(math.pi / 2, 4.0),
+        math.pi, np.nextafter(math.pi, 0.0), np.nextafter(math.pi, 4.0), 3.0 * math.pi / 2,
+    ]
+    parts = [(m, 0.0) for m in magnitudes] + [(0.0, m) for m in magnitudes]
+    # (1e300, tiny) is left out: cmath.phase raises when atan2 underflows to 0
+    parts += [(m, m) for m in magnitudes] + [(tiny, m) for m in magnitudes]
+    re_im = np.array(parts)
+    signs = np.array([(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)])
+    re_im = (re_im[None, :, :] * signs[:, None, :]).reshape(-1, 2)
+    rng = np.random.default_rng(20240601)
+    radius = 1.0 + 1e-9 * rng.uniform(-1.0, 1.0, 1000)
+    angle = rng.uniform(-math.pi, math.pi, 1000)
+    near_one = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    re_im = np.concatenate([re_im, near_one])
+    # filled part by part: complex arithmetic would lose the zeros' signs
+    omega = np.empty(len(re_im), dtype=complex)
+    omega.real, omega.imag = re_im[:, 0], re_im[:, 1]
+    return omega
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_omega_angles_equal_the_scalar_route_bit_for_bit():
+    # omega_angles takes the phase from numpy's complex log, the scalar
+    # route from cmath.phase; both must be libm's atan2, sign of zero
+    # included, or the kernels stop repeating the per-point arithmetic
+    omega = awkward_omegas()
+    assert np.signbit(omega.real).any() and np.signbit(omega.imag).any()
+    theta, phi_plus, phi_minus = omega_angles(omega)
+    plus = [ScsDirection.from_omega(w) for w in omega]
+    minus = [ScsDirection.from_omega(w) for w in -omega]
+    assert np.array_equal(bits(theta), bits([d.theta for d in plus]))
+    assert np.array_equal(bits(theta), bits([d.theta for d in minus]))
+    assert np.array_equal(bits(phi_plus), bits([d.phi for d in plus]))
+    assert np.array_equal(bits(phi_minus), bits([d.phi for d in minus]))
+    with pytest.raises(ValueError):
+        omega_angles(np.array([complex(math.inf, 0.0)]))
 
 
 @given(theta=angles, phi=phases)
