@@ -4,14 +4,28 @@ Numbers are formatted a block of rows at a time with numpy: each cell is
 laid into a fixed slot of bytes together with a mask of the bytes it keeps,
 and the kept bytes of a block, in order, are its CSV lines.
 
-Exact path, for finite |v| in [1e-10, 1e10): with X = floor(log10|v|),
-y = |v|·10^(11−X) lies in [1e11, 1e12) and its nearest integer N carries
-the 12 significant digits.  10^k is an exact double for 0 <= k <= 22, so
-Dekker's two-product (Numer. Math. 18, 224 (1971)) gives y exactly as
-hi + lo; numpy rounds each operation once and fuses none.  The exact y
-corrects an X misjudged by log10 and settles round-half-even ties.  Every
-other cell (zeros, subnormals, inf, nan, and magnitudes outside the range)
-goes through Python's own per-cell formatting.
+Exact path, for ±0 and every normal double with |v| < 1e10: with
+X = floor(log10|v|) and k = 11 − X (1 <= k <= 319), y = |v|·10^k lies in
+[1e11, 1e12) and its nearest integer N carries the 12 significant digits.
+With a = |v|·2^64 (exact) and Q = 10^k·2^-64 held as the double-double
+Q_hi + Q_lo, Dekker's two-product (Numer. Math. 18, 224 (1971)) gives
+a·Q_hi exactly as p + e; numpy rounds each operation once and fuses none.
+hi + lo is p + fl(e + fl(a·Q_lo)), renormalised by a fast two-sum.  The
+value of hi + lo corrects an X misjudged by log10 and rounds N.
+
+- k <= 22: 10^k is a double, Q_lo = 0 and hi + lo == y exactly, so ties
+  round half to even.
+- k >= 23: with u = 2^-53, Q_hi and Q_lo leave a·|Q − Q_hi − Q_lo| <= u²y,
+  fl(a·Q_lo) is off by <= u²(1 + u)y, and since |e| <= u·p the sum
+  fl(e + ...) is off by <= 2u²(1 + u)²y.  So |hi + lo − y| <=
+  (4 + 5u + 2u²)u²y < 2^-103·y < 2^-63, as y < 1e12 < 2^40.  y is never a
+  tie: y = M·5^k·2^j with M odd, and a half-integer needs j >= −1, so
+  y >= 5^23/2 > 1e12.  hi + lo therefore rounds as y does unless hi sits
+  exactly on m + 1/2 and |lo| <= 2^-63.
+
+Cells with no exact path go through Python's own per-cell formatting
+(`_per_cell`): subnormals, inf, nan, |v| >= 1e10 and the near-ties above.
+No kzring table holds any of them.
 """
 
 from __future__ import annotations
@@ -24,16 +38,22 @@ __all__ = ["BLOCK_ROWS", "csv_lines"]
 
 # Rows formatted per numpy pass: small enough that a block's temporaries
 # stay in cache, large enough that the per-pass overhead is amortized.
-BLOCK_ROWS = 1024
+BLOCK_ROWS = 4096
 
 # Slot of one numeric cell, 5 words of 8 bytes:
 #   0-7    "\0\0-0.000": sign, then "0." and zeros for -4 <= X < 0
 #   8-31   the 12 digits of N, each followed by a slot for the point
-#   32-39  "e-XX", 3 pad bytes, then the separator
+#   32-39  "e-XX" or "e-XXX", pad bytes, then the separator
 SLOT = 40
 _HEAD = np.frombuffer(b"\0\0-0.000", dtype=np.uint64)[0]
-_POW10 = np.array([float(10**k) for k in range(23)])
 _SPLITTER = 134217729.0  # 2**27 + 1
+_X_MIN = -308  # exponent of the smallest normal double
+# Largest k: 10^k·2^-64·_SPLITTER stays finite for k = 319, not for 320.
+_K_MAX = 11 - _X_MIN
+_NEAR_TIE = 2.0**-63  # bound on |hi + lo − y| for k >= 23
+# Kinds of layout in the keep table: scientific notation with a 2- or
+# 3-digit exponent, then fixed notation for each X in [-4, 10].
+_KINDS = 2 + 15
 
 
 def _two_product(a, b):
@@ -48,6 +68,14 @@ def _two_product(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
+def _scaled(a, k, q_hi, q_lo):
+    """hi, lo with hi + lo ≈ a·10^k·2^-64 (exactly for k <= 22), |lo| <= ulp(hi)/2."""
+    p, e = _two_product(a, q_hi[k])
+    s = e + a * q_lo[k]
+    hi = p + s
+    return hi, s - (hi - p)
+
+
 def _words(byte_rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(byte_rows, dtype=np.uint8).view(np.uint64)
 
@@ -58,10 +86,13 @@ def _tables():
 
     quad[g]: the 4 digits of g < 10^4, each followed by '.' (one word).
     zeros[g]: trailing zeros of g, 4 for g == 0.
-    exponent[X + 10]: the word "e-XX" + padding + ',' for -10 <= X <= 10.
-    keep[(neg·21 + X + 10)·12 + nsig − 1]: the kept bytes of a cell with
-    that sign, exponent and count of significant digits, as `%g` lays it
-    out: fixed notation for -4 <= X < 12, else d.ddde-XX.
+    exponent[X + 308]: the word "e-XX" or "e-XXX" + padding + ','.
+    kind[X + 308]: the layout kind of a cell with exponent X.
+    keep[(neg·17 + kind)·12 + nsig − 1]: the kept bytes of a cell with
+    that sign, kind and count of significant digits, as `%g` lays it out:
+    fixed notation for -4 <= X < 12, else d.ddde-XX.
+    q_hi[k] + q_lo[k]: 10^k·2^-64 for 0 <= k <= 319, q_hi correctly
+    rounded (Python's int division is) and q_lo the rounded remainder.
     """
     g = np.arange(10000, dtype=np.uint16)
     quad = np.full((g.size, 8), ord("."), dtype=np.uint8)
@@ -69,16 +100,16 @@ def _tables():
         quad[:, 2 * i] = ord("0") + g // 10 ** (3 - i) % 10
     zeros = sum((g % 10**k == 0).astype(np.uint8) for k in range(1, 5))
 
-    x = np.arange(-10, 11)
-    exponent = np.zeros((x.size, 8), dtype=np.uint8)
-    exponent[:, :2] = np.frombuffer(b"e-", dtype=np.uint8)
-    exponent[:, 2] = ord("0") + abs(x) // 10
-    exponent[:, 3] = ord("0") + abs(x) % 10
-    exponent[:, 7] = ord(",")
+    x = range(_X_MIN, 11)
+    exponent = np.frombuffer(
+        b"".join((b"e-%02d" % abs(e)).ljust(7, b"\0") + b"," for e in x), dtype=np.uint64
+    )
+    kind = np.array([e + 6 if e >= -4 else int(e <= -100) for e in x])
 
-    neg, x, nsig = np.indices((2, 21, 12)).reshape(3, -1)
-    x, nsig = x - 10, nsig + 1
-    fixed = x >= -4
+    neg, kinds, nsig = np.indices((2, _KINDS, 12)).reshape(3, -1)
+    nsig += 1
+    fixed = kinds >= 2
+    x = kinds - 6
     lead = np.where(fixed, np.maximum(-x, 0), 0)  # zeros ahead of the digits
     ndig = np.where(fixed, np.maximum(nsig, x + 1), nsig)  # digits written
     point = np.where(fixed, x, 0)  # the digit the point follows, if lead == 0
@@ -90,60 +121,84 @@ def _tables():
     keep[:, 8:32:2] = j < ndig[:, None]
     keep[:, 9:32:2] = (j == point[:, None]) & ((lead == 0) & (ndig > point + 1))[:, None]
     keep[:, 32:36] = ~fixed[:, None]
+    keep[:, 36] = kinds == 1
     keep[:, SLOT - 1] = True
-    return _words(quad)[:, 0], zeros, _words(exponent)[:, 0], _words(keep.view(np.uint8))
+
+    q_hi, q_lo = [], []
+    for k in range(_K_MAX + 1):
+        hi = 10**k / 2**64
+        num, den = hi.as_integer_ratio()
+        q_hi.append(hi)
+        q_lo.append((10**k * den - num * 2**64) / (den * 2**64))
+    return (
+        _words(quad)[:, 0], zeros, exponent, kind, _words(keep.view(np.uint8)),
+        np.array(q_hi), np.array(q_lo),
+    )
+
+
+def _per_cell(values: np.ndarray) -> list[bytes]:
+    """`'%.12g' % v` of each value, for the cells with no exact path."""
+    return [("%.12g" % f).encode() for f in values.tolist()]
 
 
 def _number_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Text and keep mask, both (n, SLOT), of `'%.12g' % v + ','` per value."""
     v = np.asarray(values, dtype=float).reshape(-1)
     a = np.abs(v)
-    exact = (a >= 1e-10) & (a < 1e10)
-    a = np.where(exact, a, 1.0)
+    other = np.flatnonzero(~((a >= np.finfo(float).tiny) & (a < 1e10)))
+    a[other] = 1.0
     x = np.floor(np.log10(a)).astype(np.intp)
-    hi, lo = _two_product(a, _POW10[11 - x])
+    a *= 2.0**64
+    quad, zeros, exponent, kind, keep_rows, q_hi, q_lo = _tables()
+    hi, lo = _scaled(a, 11 - x, q_hi, q_lo)
     low = (hi < 1e11) | ((hi == 1e11) & (lo < 0))
     high = (hi > 1e12) | ((hi == 1e12) & (lo >= 0))
     fix = np.flatnonzero(low | high)
     if fix.size:
         x[fix] += high[fix].astype(np.intp) - low[fix]
-        hi[fix], lo[fix] = _two_product(a[fix], _POW10[11 - x[fix]])
-    # hi has an exact fraction and |lo| < ulp(hi)/2, so lo matters only
-    # when hi sits exactly halfway; otherwise round half to even on hi.
-    floor = np.floor(hi)
-    n = np.where((hi - floor == 0.5) & (lo != 0), floor + (lo > 0), np.rint(hi))
+        hi[fix], lo[fix] = _scaled(a[fix], 11 - x[fix], q_hi, q_lo)
+    # |lo| <= ulp(hi)/2, so lo matters only when hi sits exactly halfway;
+    # otherwise round half to even on hi.
+    n = np.rint(hi)
+    tie = np.flatnonzero(np.abs(hi - n) == 0.5)
+    hi_t, lo_t = hi[tie], lo[tie]
+    n[tie] = np.where(lo_t != 0, np.floor(hi_t) + (lo_t > 0), n[tie])
+    near = tie[(np.abs(lo_t) <= _NEAR_TIE) & (x[tie] < -11)]  # k >= 23
+    zero = other[v[other] == 0]
+    n[zero] = 0
     carry = n == 1e12
     n[carry] = 1e11
     x += carry
 
-    quad, zeros, exponent, keep_rows = _tables()
     g0 = np.floor(n / 1e8)
     n -= g0 * 1e8
     g1 = np.floor(n / 1e4)
     g2 = (n - g1 * 1e4).astype(np.intp)
     g0, g1 = g0.astype(np.intp), g1.astype(np.intp)
+    x -= _X_MIN
     text = np.empty((v.size, SLOT // 8), dtype=np.uint64)
     text[:, 0] = _HEAD
     text[:, 1] = quad[g0]
     text[:, 2] = quad[g1]
     text[:, 3] = quad[g2]
-    text[:, 4] = exponent[x + 10]
+    text[:, 4] = exponent[x]
     tz = zeros[g2]
     z = np.flatnonzero(g2 == 0)
     if z.size:
-        tz[z] = np.where(g1[z] != 0, 4 + zeros[g1[z]], 8 + zeros[g0[z]])
-    key = (np.signbit(v) * 21 + x + 10) * 12 + 11 - tz
+        # A zero keeps one digit: at most 11 trailing zeros.
+        tz[z] = np.minimum(np.where(g1[z] != 0, 4 + zeros[g1[z]], 8 + zeros[g0[z]]), 11)
+    key = (np.signbit(v) * _KINDS + kind[x]) * 12 + 11 - tz
     keep = keep_rows.take(key, axis=0).view(bool)
     text = text.view(np.uint8)
 
-    other = np.flatnonzero(~exact)
-    if other.size:
-        cells = [("%.12g" % f).encode() for f in v[other].tolist()]
+    slow = np.concatenate([other[v[other] != 0], near])
+    if slow.size:
+        cells = _per_cell(v[slow])
         lengths = np.array([len(c) for c in cells])
         width = lengths.max()
-        text[other, :width] = np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+        text[slow, :width] = np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
         slot = np.arange(SLOT)
-        keep[other] = (slot < lengths[:, None]) | (slot == SLOT - 1)
+        keep[slow] = (slot < lengths[:, None]) | (slot == SLOT - 1)
     return text, keep
 
 

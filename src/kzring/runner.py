@@ -64,6 +64,23 @@ PRESET_NAMES = ("fig3", "fig4", "fig5")
 # ScenarioConfig fields that count something; a float or bool is refused
 # rather than truncated or left to fail deep inside a run.
 _INTEGER_FIELDS = ("n", "t_points", "seed", "realizations", "n_ref", "g_sweep_points")
+# ScenarioConfig fields that hold a real number; a bool, a string or a
+# non-finite value is refused before it reaches a solver or the CSV header.
+_FLOAT_FIELDS = (
+    "g", "h_para", "h0", "v", "hc", "nu", "z", "xi0", "tau0", "t0_offset",
+    "t_start", "t_stop", "mz_field_scale", "g_max", "g_to_h_max",
+    "g_sweep_min", "g_sweep_max",
+)
+
+
+def _finite_number(value) -> bool:
+    """Whether value is an int or float, not a bool, with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -105,6 +122,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not _finite_number(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # The label prefixes every output file name, so it must not leave
@@ -556,8 +577,8 @@ def emit_csv(table: DataTable, path: str) -> None:
     """Write metadata (# key = value), a header row, then 12-digit data rows.
 
     Each numeric cell is exactly the text of `'%.12g' % value`, built
-    vectorised a block of rows at a time; zeros, non-finite cells and
-    magnitudes outside [1e-10, 1e10) fall back to per-cell formatting.
+    vectorised a block of rows at a time; subnormal and non-finite cells
+    and magnitudes of 1e10 or more fall back to per-cell formatting.
     Output is UTF-8 with LF endings and is byte-deterministic for a given
     table.
     """

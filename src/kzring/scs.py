@@ -17,7 +17,6 @@ accumulated in log space so spins in the hundreds stay finite.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -82,7 +81,7 @@ class ScsDirection:
     def from_omega(cls, omega: complex) -> "ScsDirection":
         """Direction of the displacement parameter Omega = (theta/2) e^(i phi)."""
         omega = complex(omega)
-        return cls(2.0 * abs(omega), cmath.phase(omega))
+        return cls(2.0 * abs(omega), math.atan2(omega.imag, omega.real))
 
     @property
     def omega(self) -> complex:
@@ -112,7 +111,7 @@ def omega_angles(omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The phase is the imaginary part of the complex log, which glibc's
     ``clog`` sets to ``atan2(imag, real)``, signed zeros included: the value
-    ``cmath.phase`` returns.  ``np.arctan2`` and ``np.angle`` may run SIMD
+    ``math.atan2`` returns.  ``np.arctan2`` and ``np.angle`` may run SIMD
     code that differs from libm in the last bit.
     """
     omega = np.asarray(omega, dtype=complex)

@@ -250,7 +250,7 @@ def para_point_replay(cfg: para.ParaConfig, t) -> np.ndarray:
     """The per-point arithmetic the para kernel batches.
 
     For each time, build the two branch directions with the scalar
-    ScsDirection route (cmath.phase), dot their Bloch vectors, take the
+    ScsDirection route (math.atan2), dot their Bloch vectors, take the
     half-angle cosine and raise it to N with Python's float ** int.
     """
     ell = para.displacement_parameter(cfg, t)

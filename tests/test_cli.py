@@ -125,6 +125,27 @@ def test_non_integer_count_exits_two(tmp_path, fields):
 
 
 @pytest.mark.parametrize(
+    "mode, text",
+    [
+        ("para", '{"g": "0.1"}'),
+        ("dia", '{"g": true}'),
+        ("dia", '{"mz_field_scale": NaN}'),
+        ("para", '{"t_stop": 1e400}'),
+        ("para", '{"h_para": NaN}'),
+    ],
+)
+def test_non_finite_or_non_numeric_float_exits_two(tmp_path, mode, text):
+    (name,) = json.loads(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    proc = run_cli([mode, "--config", str(path), "--out", "out"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and name in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+@pytest.mark.parametrize(
     "args", [["sweep-g"], ["preset", "fig5"]], ids=["sweep-g", "preset-fig5"]
 )
 def test_sweep_with_several_realizations_exits_two(tmp_path, args):

@@ -1,11 +1,20 @@
 """The vectorised 12-digit cell formatter against Python's own `'%.12g'`."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kzring
+from kzring import _csvtext
 from kzring._csvtext import csv_lines
+
+SMALLEST_NORMAL = float(np.finfo(float).tiny)
+LARGEST_SUBNORMAL = float(np.nextafter(SMALLEST_NORMAL, 0.0))
 
 
 def formatted(values) -> list[str]:
@@ -37,7 +46,8 @@ def halfway(x: int, rng) -> list[Fraction]:
     """Points halfway between two 12-digit neighbours with exponent x.
 
     (2M + 1)/2 · 10^(x−11) is a double only when 5^(11−x) divides 2M + 1,
-    so the odd numerator is moved to such a multiple where one fits.
+    so the odd numerator is moved to such a multiple where one fits.  Where
+    none fits (x <= -7) the point stays put and its nearest double is used.
     """
     step = 5 ** max(11 - x, 0)
     points = []
@@ -45,7 +55,7 @@ def halfway(x: int, rng) -> list[Fraction]:
         odd = int(rng.integers(10**11, 10**12)) * 2 + 1
         if 2 * 10**11 < step < 2 * 10**12:
             odd = step
-        elif step > 1:
+        elif 1 < step < 2 * 10**11:
             k = odd // step
             odd = (k if k % 2 else k + 1) * step
         points.append(Fraction(odd, 2) * Fraction(10) ** (x - 11))
@@ -82,18 +92,109 @@ def test_exact_and_nearest_halfway_points_across_the_range_limits():
     assert mismatches(np.concatenate([values, -values]))[:5] == []
 
 
+def nearest_halfway(exponents, per_exponent: int, seed: int) -> list[float]:
+    """The doubles nearest to random halfway points (2M + 1)/2 · 10^(x−11)."""
+    rng = np.random.default_rng(seed)
+    return [
+        float(Fraction(2 * m + 1, 2) * Fraction(10) ** (x - 11))
+        for x in exponents
+        for m in rng.integers(10**11, 10**12, size=per_exponent).tolist()
+    ]
+
+
+def test_nearest_doubles_to_halfway_points_below_1e_minus_6():
+    # For X <= -7 no double is a tie, so the doubles nearest to a halfway
+    # point, and their neighbours, are the hardest cells to round.
+    values = with_neighbours(nearest_halfway(range(-308, -6), 8, seed=17))
+    assert mismatches(np.concatenate([values, -values]))[:5] == []
+
+
 def test_powers_of_ten_and_their_neighbours():
-    powers = [float(Fraction(10) ** k) for k in range(-12, 13)]
+    powers = [float(Fraction(10) ** k) for k in range(-308, 13)]
     values = with_neighbours(powers)
     assert mismatches(np.concatenate([values, -values]))[:5] == []
 
 
+def test_scaled_product_stays_within_the_stated_bound():
+    # hi + lo against the exact |v|·10^k: off by at most 2^-103·y for every
+    # k, and exactly equal where 10^k is a double (k <= 22).
+    rng = np.random.default_rng(5)
+    v = np.concatenate([10.0 ** rng.uniform(-308, 10, 4000), [SMALLEST_NORMAL, 9.999999999999e9]])
+    k = 11 - np.floor(np.log10(v)).astype(np.intp)
+    hi, lo = _csvtext._scaled(v * 2.0**64, k, *_csvtext._tables()[-2:])
+    for vi, ki, h, l in zip(v.tolist(), k.tolist(), hi.tolist(), lo.tolist()):
+        y = Fraction(vi) * Fraction(10) ** ki
+        error = abs(Fraction(h) + Fraction(l) - y)
+        assert error <= y / 2**103 and (ki > 22 or error == 0), (vi, ki)
+
+
 @pytest.mark.parametrize(
     "value",
-    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-10, 1e10, 1e300],
+    [
+        0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-10, 1e10, 1e300,
+        SMALLEST_NORMAL, -SMALLEST_NORMAL, LARGEST_SUBNORMAL, -LARGEST_SUBNORMAL,
+    ],
 )
 def test_special_values(value):
     assert formatted([value]) == ["%.12g" % value]
+
+
+def count_per_cell(monkeypatch) -> list[float]:
+    """Record every value that csv_lines formats one cell at a time."""
+    seen = []
+    per_cell = _csvtext._per_cell
+
+    def counting(values):
+        seen.extend(values.tolist())
+        return per_cell(values)
+
+    monkeypatch.setattr(_csvtext, "_per_cell", counting)
+    return seen
+
+
+def test_only_cells_without_an_exact_path_go_one_at_a_time(monkeypatch):
+    seen = count_per_cell(monkeypatch)
+    # 1234567890.125 and 2^-18 are exact ties, settled on the exact path.
+    slow = [
+        LARGEST_SUBNORMAL, -5e-324, np.inf, -np.inf, np.nan, 1e10, -3.5e15, 1e300,
+        -1e200, 123456789012.5,
+    ]
+    fast = [
+        0.0, -0.0, SMALLEST_NORMAL, -1e-300, 9.9999999999995e9, 0.5, -1e-11, 1.25e-100,
+        1234567890.125, 2.0**-18,
+    ]
+    column = np.ravel(np.column_stack([fast, slow]))
+    assert mismatches(column) == []
+    assert [repr(v) for v in seen] == [repr(v) for v in slow]
+
+
+def test_ties_within_the_error_bound_go_one_at_a_time(monkeypatch):
+    # No double is known to land within 2^-63 of a halfway point, so the
+    # bound is widened: every cell below 1e-11 whose hi then sits exactly
+    # on m + 1/2 must take the per-cell path, and still read the same.
+    monkeypatch.setattr(_csvtext, "_NEAR_TIE", 1.0)
+    seen = count_per_cell(monkeypatch)
+    values = np.array(nearest_halfway(range(-60, -11), 40, seed=23))
+    assert mismatches(values) == []
+    assert 0 < len(seen) < values.size
+    assert max(map(abs, seen)) < 1e-11
+
+
+def test_importing_the_cli_builds_no_formatter_tables():
+    # The tables, and the exact arithmetic that builds them, wait for the
+    # first CSV, so a command's start-up does not pay for them.
+    code = (
+        "import sys, kzring.cli, kzring._csvtext as c; "
+        "print(c._tables.cache_info().currsize, 'fractions' in sys.modules)"
+    )
+    env = dict(os.environ)
+    rest = env.get("PYTHONPATH")
+    root = str(Path(kzring.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == ["0", "False"]
 
 
 def test_rows_join_cells_with_commas():

@@ -3,8 +3,25 @@
 import numpy as np
 import pytest
 
+from kzring import _csvtext
 from kzring._csvtext import BLOCK_ROWS
-from kzring.runner import DataTable, _format_cell, emit_csv, oracle_report, run_preset
+from kzring.runner import (
+    DataTable,
+    ScenarioConfig,
+    _format_cell,
+    emit_csv,
+    oracle_report,
+    preset_config,
+    run_preset,
+    run_scenario,
+)
+
+# The benchmark's sweep: fig5 scaled to 200 couplings x 200 times.
+BENCH_SWEEP = ScenarioConfig(
+    mode="sweep-g", label="sweep", n=1000, h_para=5.0, h0=1.001, v=5e-5,
+    t0_offset=0.0, t_points=200, g_sweep_points=200, g_sweep_max=0.3,
+    g_max=0.3, g_to_h_max=0.3,
+)
 
 
 def reference_csv(table: DataTable) -> bytes:
@@ -35,6 +52,23 @@ def test_preset_and_oracle_tables_match_the_template_writer(name, tmp_path):
         tables = run_preset(name).tables
     for key, table in tables.items():
         assert emitted(table, tmp_path) == reference_csv(table), key
+
+
+@pytest.mark.parametrize(
+    "cfg", [BENCH_SWEEP, preset_config("fig5")[0]], ids=["bench-sweep", "fig5"]
+)
+def test_sweep_tables_format_no_cell_one_at_a_time(cfg, monkeypatch, tmp_path):
+    # Zero times and concurrences far below 1e-10 all lie on the exact path.
+    seen = []
+    per_cell = _csvtext._per_cell
+    monkeypatch.setattr(
+        _csvtext, "_per_cell", lambda values: seen.extend(values.tolist()) or per_cell(values)
+    )
+    table = run_scenario(cfg).tables["sweep"]
+    assert emitted(table, tmp_path) == reference_csv(table)
+    assert seen == []
+    assert (np.concatenate(table.data) == 0).any()
+    assert (np.abs(np.concatenate(table.data[2:4])) < 1e-10).any()
 
 
 def numeric_table(rows: int, seed: int) -> DataTable:

@@ -70,6 +70,30 @@ def test_config_rejects_non_integer_counts_and_negative_seeds(fields):
         ScenarioConfig.from_json(json.dumps(fields))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"g": "0.1"}',
+        '{"g": true}',
+        '{"h_para": null}',
+        '{"mz_field_scale": NaN}',
+        '{"g_max": -Infinity}',
+        '{"t_stop": 1e400}',
+        '{"v": 1' + "0" * 400 + "}",
+    ],
+)
+def test_config_rejects_non_numeric_and_non_finite_floats(text):
+    (name,) = json.loads(text)
+    with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+        ScenarioConfig.from_json(text)
+
+
+def test_config_keeps_integer_valued_floats_as_given():
+    cfg = ScenarioConfig.from_json('{"hc": 1, "t_start": 0}')
+    assert (cfg.hc, cfg.t_start) == (1, 0)
+    assert '"hc": 1,' in cfg.to_json()
+
+
 @pytest.mark.parametrize("label", ["../escaped", "sub/x", ".", "..", os.sep + "x", 3])
 def test_config_rejects_labels_that_leave_the_output_directory(label):
     with pytest.raises(ConfigError, match="label"):

@@ -50,8 +50,8 @@ def awkward_omegas() -> np.ndarray:
         math.pi, np.nextafter(math.pi, 0.0), np.nextafter(math.pi, 4.0), 3.0 * math.pi / 2,
     ]
     parts = [(m, 0.0) for m in magnitudes] + [(0.0, m) for m in magnitudes]
-    # (1e300, tiny) is left out: cmath.phase raises when atan2 underflows to 0
     parts += [(m, m) for m in magnitudes] + [(tiny, m) for m in magnitudes]
+    parts.append((1e300, tiny))  # atan2 underflows to a signed zero
     re_im = np.array(parts)
     signs = np.array([(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)])
     re_im = (re_im[None, :, :] * signs[:, None, :]).reshape(-1, 2)
@@ -72,7 +72,7 @@ def bits(x) -> np.ndarray:
 
 def test_omega_angles_equal_the_scalar_route_bit_for_bit():
     # omega_angles takes the phase from numpy's complex log, the scalar
-    # route from cmath.phase; both must be libm's atan2, sign of zero
+    # route from math.atan2; both must be libm's atan2, sign of zero
     # included, or the kernels stop repeating the per-point arithmetic
     omega = awkward_omegas()
     assert np.signbit(omega.real).any() and np.signbit(omega.imag).any()
