@@ -150,30 +150,33 @@ def _dia_overlap_matrix(cfg: dia_mod.DiaConfig, t: float) -> np.ndarray:
     return gram
 
 
-def closed_form_check(setting: str, config, times) -> float:
+def closed_form_check(config, times) -> float:
     """Max |closed-form concurrence - Wootters-on-exact-overlaps| over a grid.
 
-    `setting` selects 'para' or 'dia'; `config` is the matching regime
-    config.  The oracle route never touches the closed-form angle algebra:
-    it builds branch states by dense matrix exponentials, keeps every
-    complex phase, and evaluates the concurrence from the Gram matrix of a
-    Bell-state register, one time at a time.  The closed form is one call
-    over the whole grid.
+    The regime follows the config's type, a ParaConfig or a DiaConfig;
+    anything else is a ValueError.  The oracle route never touches the
+    closed-form angle algebra: it builds branch states by dense matrix
+    exponentials, keeps every complex phase, and evaluates the concurrence
+    from the Gram matrix of a Bell-state register, one time at a time.  The
+    closed form is one call over the whole grid, as a one-config batch.
     """
-    if setting == "para":
+    if isinstance(config, para_mod.ParaConfig):
         module, gram = para_mod, _para_overlap_matrix
-    elif setting == "dia":
+    elif isinstance(config, dia_mod.DiaConfig):
         if config.partition.s_d > 60:
             raise ValueError(
                 "dense Dicke-space oracle is limited to collective spins <= 60"
             )
         module, gram = dia_mod, _dia_overlap_matrix
     else:
-        raise ValueError(f"unknown setting {setting!r}, expected 'para' or 'dia'")
+        raise ValueError(
+            f"expected a ParaConfig or a DiaConfig, got {type(config).__name__}"
+        )
     times = np.asarray(times, dtype=float)
     bell = DeviceState.bell()
     worst = 0.0
-    for t, closed in zip(times.tolist(), module.concurrence(config, times).tolist()):
+    closed_forms = module.concurrences([config], times)[0]
+    for t, closed in zip(times.tolist(), closed_forms.tolist()):
         rho = device_density_matrix(bell, gram(config, t))
         worst = max(worst, abs(closed - wootters_concurrence(rho)))
     return worst

@@ -17,9 +17,9 @@ Bell-state register is
 with Theta_delta the angle between the two branch-evolved directions of
 domain delta.
 
-The dynamics functions take a scalar t (returning a float) or an array of
-times, and :func:`concurrences` takes a batch of configs that differ only
-in g and ensemble.  All run one batched kernel that computes the time
+:func:`concurrences` is the closed form's one entry point: it takes a batch
+of configs that differ only in g and ensemble and a scalar elapsed time or
+an array of them, and runs one batched kernel that computes the time
 factors once and the branch rotors once per distinct g.  It rotates each
 domain's Bloch vector by all the rotors of its g in one matrix-vector
 product per (config, domain), and still performs, per coupling, time and
@@ -44,8 +44,6 @@ __all__ = [
     "DiaConfig",
     "V_SPAN_MAX",
     "displacement_parameter",
-    "branch_overlap",
-    "concurrence",
     "concurrences",
     "validate_trace_span",
 ]
@@ -56,16 +54,16 @@ V_SPAN_MAX = 0.05
 
 @dataclass(frozen=True)
 class DiaConfig:
-    """Frozen-domain scenario: ring, coupling, ramp, start time, ensemble.
+    """Frozen-domain scenario: coupling, ramp, start time, domains, ensemble.
 
-    t0 is absolute on the quench clock and must not precede the freeze-out
-    instant; evolution times passed to the dynamics functions are elapsed
+    The ring is the partition's domains, n = xi_d * n_d spins.  t0 is
+    absolute on the quench clock and must not precede the freeze-out
+    instant; evolution times passed to :func:`concurrences` are elapsed
     times since t0.  Weak-coupling guards mirror the paramagnetic ones and
     are checked at t0 here and over a whole trace span by
     :func:`validate_trace_span`.
     """
 
-    n: int
     g: float
     schedule: QuenchSchedule
     t0: float
@@ -79,11 +77,6 @@ class DiaConfig:
             raise ConfigError(f"ring needs at least 2 spins, got n={self.n}")
         if self.g < 0:
             raise ConfigError(f"coupling must be >= 0, got g={self.g}")
-        if self.partition.xi_d * self.partition.n_d != self.n:
-            raise ConfigError(
-                f"partition {self.partition.n_d} x {self.partition.xi_d} "
-                f"does not tile a ring of {self.n} spins"
-            )
         if len(self.ensemble.directions) != self.partition.n_d:
             raise ConfigError(
                 f"ensemble has {len(self.ensemble.directions)} directions, "
@@ -108,6 +101,11 @@ class DiaConfig:
             raise ConfigError(
                 f"detuning guard: g={self.g} exceeds {self.g_to_h_max} * h(t0)"
             )
+
+    @property
+    def n(self) -> int:
+        """Ring size, the spins of all domains."""
+        return self.partition.xi_d * self.partition.n_d
 
 
 def validate_trace_span(cfg: DiaConfig, span: float) -> None:
@@ -200,38 +198,21 @@ def _overlaps(configs: tuple[DiaConfig, ...], times: np.ndarray) -> np.ndarray:
     return out.reshape((len(configs),) + times.shape)
 
 
-def branch_overlap(cfg: DiaConfig, t):
-    """Modulus of the ring overlap between branches, prod_d cos^(2 S_d)(Theta_d/2).
-
-    Swapping the branch labels leaves this unchanged (the two branch states
-    trade places, conjugating the overlap).  A float for a scalar elapsed
-    time t, an array shaped like t otherwise.
-    """
-    times = np.asarray(t, dtype=float)
-    out = _overlaps((cfg,), times)[0]
-    return float(out) if times.ndim == 0 else out
-
-
-def concurrence(cfg: DiaConfig, t):
-    """Register concurrence [prod_d cos(Theta_d/2)]^(2 S_d) at elapsed t.
-
-    It equals :func:`branch_overlap`, which is never negative.
-    """
-    return branch_overlap(cfg, t)
-
-
 def concurrences(configs, t) -> np.ndarray:
     """Concurrence of each config over the elapsed times t, shape
     (len(configs),) + t.shape.
 
-    One kernel call for the whole batch; row k equals
-    ``concurrence(configs[k], t)`` bit for bit.  The configs may differ only
-    in g and ensemble, otherwise ValueError.
+    For the Bell state the concurrence [prod_d cos(Theta_d/2)]^(2 S_d) is
+    the modulus of the ring overlap between the two branches, which is never
+    negative.  Swapping the branch labels leaves it unchanged (the two
+    branch states trade places, conjugating the overlap).  One kernel call
+    for the whole batch; row k equals the one-config batch
+    ``concurrences([configs[k]], t)[0]`` bit for bit.  A scalar t gives one
+    value per config.  The configs may differ only in g and ensemble,
+    otherwise ValueError.
     """
     configs = tuple(configs)
-    shared = {
-        (c.n, c.schedule, c.t0, c.partition, c.g_max, c.g_to_h_max) for c in configs
-    }
+    shared = {(c.schedule, c.t0, c.partition, c.g_max, c.g_to_h_max) for c in configs}
     if len(shared) != 1:
         raise ValueError(
             "a batch needs one or more configs that differ only in g and ensemble"

@@ -15,12 +15,12 @@ single-spin overlap moduli:
 Theta(t) the angle between the two branch directions.  The motion is
 periodic with period 2*pi/h, so the concurrence revives fully there.
 
-The dynamics functions take a scalar t (returning a float) or an array of
-times, and :func:`concurrences` takes a batch of configs that differ only
-in g.  All run one batched kernel that computes the time factors once and
-performs, per coupling and time, the same floating-point operations as
-building the two ScsDirection objects, dotting their Bloch vectors and
-raising the half-angle cosine to N with Python's float ** int.  It makes no
+:func:`concurrences` is the closed form's one entry point: it takes a batch
+of configs that differ only in g and a scalar t or an array of times, and
+runs one batched kernel that computes the time factors once and performs,
+per coupling and time, the same floating-point operations as building the
+two ScsDirection objects, dotting their Bloch vectors and raising the
+half-angle cosine to N with Python's float ** int.  It makes no
 Python call per point: the branch phases come from one
 :func:`~kzring.scs.omega_angles` pass and the power from ``np.float_power``,
 both the libm routines the scalar route calls.
@@ -38,8 +38,6 @@ from .scs import bloch_vectors, omega_angles
 __all__ = [
     "ParaConfig",
     "displacement_parameter",
-    "branch_overlap",
-    "concurrence",
     "concurrences",
 ]
 
@@ -109,30 +107,15 @@ def _overlaps(configs: tuple[ParaConfig, ...], times: np.ndarray) -> np.ndarray:
     return out.reshape((len(configs),) + times.shape)
 
 
-def branch_overlap(cfg: ParaConfig, t):
-    """Modulus of the ring-state overlap between the two branches, cos^N(Theta/2).
-
-    A float for a scalar t, an array shaped like t otherwise.
-    """
-    times = np.asarray(t, dtype=float)
-    out = _overlaps((cfg,), times)[0]
-    return float(out) if times.ndim == 0 else out
-
-
-def concurrence(cfg: ParaConfig, t):
-    """Register concurrence cos^N(Theta(t)/2) for the Bell state.
-
-    It equals :func:`branch_overlap`, which is never negative.
-    """
-    return branch_overlap(cfg, t)
-
-
 def concurrences(configs, t) -> np.ndarray:
     """Concurrence of each config over the times t, shape (len(configs),) + t.shape.
 
-    One kernel call for the whole batch; row k equals
-    ``concurrence(configs[k], t)`` bit for bit.  The configs may differ only
-    in g, otherwise ValueError.
+    For the Bell state the concurrence is the modulus of the ring-state
+    overlap between the two branches, cos^N(Theta/2), which is never
+    negative.  One kernel call for the whole batch; row k equals the
+    one-config batch ``concurrences([configs[k]], t)[0]`` bit for bit.  A
+    scalar t gives one value per config.  The configs may differ only in g,
+    otherwise ValueError.
     """
     configs = tuple(configs)
     if len({(c.n, c.h, c.g_max, c.g_to_h_max) for c in configs}) != 1:

@@ -61,16 +61,6 @@ __all__ = [
 
 MODES = ("para", "dia", "compare", "sweep-g", "oracle-check")
 PRESET_NAMES = ("fig3", "fig4", "fig5")
-# ScenarioConfig fields that count something; a float or bool is refused
-# rather than truncated or left to fail deep inside a run.
-_INTEGER_FIELDS = ("n", "t_points", "seed", "realizations", "n_ref", "g_sweep_points")
-# ScenarioConfig fields that hold a real number; a bool, a string or a
-# non-finite value is refused before it reaches a solver or the CSV header.
-_FLOAT_FIELDS = (
-    "g", "h_para", "h0", "v", "hc", "nu", "z", "xi0", "tau0", "t0_offset",
-    "t_start", "t_stop", "mz_field_scale", "g_max", "g_to_h_max",
-    "g_sweep_min", "g_sweep_max",
-)
 
 
 def _finite_number(value) -> bool:
@@ -81,6 +71,19 @@ def _finite_number(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+# What each ScenarioConfig annotation admits, and how an error names it.  A
+# count is never a float or bool, which would be truncated or fail deep
+# inside a run; a real number is never a bool, a string or non-finite, which
+# would reach a solver or the CSV header; a path is never an int, which
+# open() would take for a file descriptor.
+_ANNOTATION_CHECKS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_finite_number, "a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
 
 
 @dataclass(frozen=True)
@@ -116,22 +119,19 @@ class ScenarioConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            admits, expected = _ANNOTATION_CHECKS[f.type]
+            value = getattr(self, f.name)
+            if not admits(value):
+                raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if not _finite_number(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # The label prefixes every output file name, so it must not leave
         # the output directory; it is also written into one-line gnuplot
         # strings and comments, which a control character would break.
-        if not isinstance(self.label, str) or self.label in (".", "..") or any(
+        if self.label in (".", "..") or any(
             sep and sep in self.label for sep in ("/", os.sep, os.altsep)
         ) or any(unicodedata.category(ch) == "Cc" for ch in self.label):
             raise ConfigError(
@@ -302,6 +302,11 @@ def _load_ensemble(path: str, n_d: int) -> DomainEnsemble:
             ensemble = DomainEnsemble.from_json(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read ensemble file {path}: {exc}") from exc
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(
+            f"ensemble file {path} is not a saved ensemble "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
     if len(ensemble.directions) != n_d:
         raise ConfigError(
             f"replayed ensemble has {len(ensemble.directions)} domains, "
@@ -333,7 +338,7 @@ def _dia_configs(cfg: ScenarioConfig, g: float | None = None):
         )
     for r, ensemble in enumerate(ensembles):
         dia_cfg = dia_mod.DiaConfig(
-            n=cfg.n, g=cfg.g if g is None else g, schedule=schedule, t0=t0,
+            g=cfg.g if g is None else g, schedule=schedule, t0=t0,
             partition=partition, ensemble=ensemble,
             g_max=cfg.g_max, g_to_h_max=cfg.g_to_h_max,
         )
@@ -348,7 +353,7 @@ def _time_grid(cfg: ScenarioConfig) -> np.ndarray:
 
 def _run_para(cfg: ScenarioConfig) -> DataTable:
     grid = _time_grid(cfg)
-    conc = para_mod.concurrence(_para_config(cfg), grid)
+    conc = para_mod.concurrences([_para_config(cfg)], grid)[0]
     meta = _base_metadata(cfg)
     meta["regime"] = "paramagnetic closed form"
     return _validate_trace(
@@ -463,7 +468,7 @@ def reference_dia_config(seed: int = 7) -> dia_mod.DiaConfig:
         partition.n_d, m0z=0.32, mdz=0.33, seed=seed
     )
     return dia_mod.DiaConfig(
-        n=20, g=1.0 / 6.0, schedule=schedule, t0=0.0,
+        g=1.0 / 6.0, schedule=schedule, t0=0.0,
         partition=partition, ensemble=ensemble,
     )
 
@@ -474,12 +479,8 @@ def oracle_report(cfg: ScenarioConfig | None = None) -> DataTable:
     Returns one row per check: name, worst deviation, tolerance, verdict.
     """
     times_para = np.linspace(0.0, math.pi, 200)
-    dev_para = closed_form_check(
-        "para", para_mod.ParaConfig(n=8, g=0.05, h=2.0), times_para
-    )
-    dev_dia = closed_form_check(
-        "dia", reference_dia_config(), np.linspace(0.0, 1.0, 200)
-    )
+    dev_para = closed_form_check(para_mod.ParaConfig(n=8, g=0.05, h=2.0), times_para)
+    dev_dia = closed_form_check(reference_dia_config(), np.linspace(0.0, 1.0, 200))
     rng = np.random.default_rng(2024)
     dev_scs = 0.0
     for s in (0.5, 2.0, 5.0, 10.0):

@@ -65,14 +65,20 @@ class DomainPartition:
 
     xi_d: int
     n_d: int
-    s_d: float
-    j_eff: float
 
     def __post_init__(self) -> None:
         if self.xi_d < 1 or self.n_d < 1:
             raise ConfigError("partition sizes must be positive")
-        if abs(self.s_d - self.xi_d / 2.0) > 1e-12:
-            raise ConfigError("collective spin must equal xi_d / 2")
+
+    @property
+    def s_d(self) -> float:
+        """Collective spin of one domain, xi_d / 2."""
+        return self.xi_d / 2.0
+
+    @property
+    def j_eff(self) -> float:
+        """Effective domain-domain coupling, 2 / xi_d^2."""
+        return 2.0 / self.xi_d**2
 
 
 def field_at(schedule: QuenchSchedule, t: float) -> float:
@@ -141,5 +147,4 @@ def domain_partition(n: int, schedule: QuenchSchedule) -> DomainPartition:
             f"nearest divisor {xi_d} of n={n} is more than 50% away "
             f"from the frozen correlation length {raw:.6g}"
         )
-    n_d = n // xi_d
-    return DomainPartition(xi_d=xi_d, n_d=n_d, s_d=xi_d / 2.0, j_eff=2.0 / xi_d**2)
+    return DomainPartition(xi_d=xi_d, n_d=n // xi_d)

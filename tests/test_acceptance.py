@@ -19,7 +19,7 @@ from kzring.exact import (
     reduced_device_state,
     scs_cross_check,
 )
-from kzring.para import ParaConfig, concurrence as para_concurrence
+from kzring.para import ParaConfig, concurrences as para_concurrences
 from kzring.runner import reference_dia_config, run_preset
 from kzring.sampler import ensemble_mean_magnetization, sample_initial_directions
 from kzring.scaling import QuenchSchedule, correlation_length, domain_partition, epsilon_at, freeze_out_time
@@ -121,7 +121,7 @@ def test_criterion_5_paramagnetic_closed_form_equals_oracle():
     cfg = ParaConfig(n=8, g=0.05, h=2.0)
     times = np.linspace(0.0, 2.0 * math.pi / cfg.h, 200)
     start = time.perf_counter()
-    dev = closed_form_check("para", cfg, times)
+    dev = closed_form_check(cfg, times)
     elapsed = time.perf_counter() - start
     ok = dev <= 1e-10
     report(5, ok and elapsed < 1.0, f"max deviation {dev:.3e}", elapsed, 1.0)
@@ -134,7 +134,7 @@ def test_criterion_6_frozen_domain_closed_form_equals_oracle():
     assert cfg.partition.n_d == 2 and cfg.partition.s_d == 5.0
     times = np.linspace(0.0, 1.0, 200)
     start = time.perf_counter()
-    dev = closed_form_check("dia", cfg, times)
+    dev = closed_form_check(cfg, times)
     elapsed = time.perf_counter() - start
     ok = dev <= 1e-10
     report(6, ok and elapsed < 1.0, f"max deviation {dev:.3e}", elapsed, 1.0)
@@ -183,7 +183,7 @@ def test_criterion_8_weak_coupling_convergence():
             wootters_concurrence(reduced_device_state(states[i].ravel()))
             for i in range(len(times))
         ])
-        closed = np.array([para_concurrence(cfg, float(t)) for t in times])
+        closed = para_concurrences([cfg], times)[0]
         devs[g] = float(np.max(np.abs(exact - closed)))
     elapsed = time.perf_counter() - start
     ratio = devs[0.02] / devs[0.01]
@@ -224,9 +224,9 @@ def test_criterion_9_sampler_contract():
 
 def test_criterion_10_full_revival():
     cfg = ParaConfig(n=120, g=1.0 / 6.0, h=2.0)
-    para_concurrence(cfg, 0.1)  # warm-up
+    para_concurrences([cfg], 0.1)  # warm-up
     start = time.perf_counter()
-    c = para_concurrence(cfg, 2.0 * math.pi / cfg.h)
+    (c,) = para_concurrences([cfg], 2.0 * math.pi / cfg.h)
     elapsed = time.perf_counter() - start
     ok = abs(c - 1.0) < 1e-12
     report(10, ok and elapsed < 1e-3, f"C(2 pi / h) = {c:.15f}", elapsed, 1e-3)

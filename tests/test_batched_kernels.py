@@ -2,8 +2,8 @@
 
 The runtime kernels replay the per-point rotation arithmetic over whole time
 grids and whole batches of configs.  Independent checks pin them: an array
-call must return exactly the scalar calls, a batch call exactly the
-one-config calls, each kernel exactly a point-by-point replay through the
+of times must return exactly the scalar-time calls, a batch exactly the
+one-config batches, each kernel exactly a point-by-point replay through the
 scalar ScsDirection route (para with Python's float ** int, dia with one
 3 x 3 rotation per time and domain), and the bytes must not depend on the
 BLAS thread count.  The result must also agree with the closed forms
@@ -108,7 +108,7 @@ def fig4_fast_quench_config() -> DiaConfig:
     assert partition.n_d == 12
     ensemble = run_scenario(cfg).ensembles["dia"]
     return DiaConfig(
-        n=cfg.n, g=cfg.g, schedule=schedule,
+        g=cfg.g, schedule=schedule,
         t0=freeze_out_time(schedule) + cfg.t0_offset,
         partition=partition, ensemble=ensemble,
     )
@@ -126,11 +126,14 @@ def fig4_fast_quench_config() -> DiaConfig:
 def test_array_call_equals_the_scalar_calls(module, make_config):
     cfg = make_config()
     t = np.linspace(0.0, 1.0, 201)
-    for fn in (module.concurrence, module.branch_overlap):
-        scalar = [fn(cfg, float(ti)) for ti in t]
-        assert all(type(c) is float for c in scalar)
-        assert np.array_equal(fn(cfg, t), scalar)
-        assert np.array_equal(fn(cfg, t[::-1].reshape(3, 67)), np.reshape(scalar[::-1], (3, 67)))
+    scalar = [module.concurrences([cfg], float(ti)) for ti in t]
+    assert all(c.shape == (1,) for c in scalar)
+    scalar = np.concatenate(scalar)
+    assert np.array_equal(module.concurrences([cfg], t)[0], scalar)
+    assert np.array_equal(
+        module.concurrences([cfg], t[::-1].reshape(3, 67))[0],
+        np.reshape(scalar[::-1], (3, 67)),
+    )
 
 
 def dia_point_replay(cfg: DiaConfig, t) -> np.ndarray:
@@ -168,7 +171,7 @@ BENCH_SWEEP = ScenarioConfig(
 def assert_batch_is_the_single_calls(module, configs, t):
     batch = module.concurrences(configs, t)
     assert batch.shape == (len(configs),) + np.shape(t)
-    assert np.array_equal(batch, [module.concurrence(c, t) for c in configs])
+    assert np.array_equal(batch, [module.concurrences([c], t)[0] for c in configs])
 
 
 @pytest.mark.parametrize(
@@ -208,11 +211,11 @@ def test_mixed_batch_maps_each_config_to_its_own_row():
 
 def test_batches_reject_configs_that_differ_beyond_g_and_ensemble():
     base = reference_dia_config()  # 20 spins, 2 domains of 10
-    four = DomainPartition(xi_d=5, n_d=4, s_d=2.5, j_eff=base.partition.j_eff)
+    four = DomainPartition(xi_d=5, n_d=4)
     four_dirs = sample_initial_directions(4, 0.32, 0.33, seed=7)
-    wide = DomainPartition(xi_d=20, n_d=2, s_d=10.0, j_eff=base.partition.j_eff)
+    wide = DomainPartition(xi_d=20, n_d=2)
     different = [
-        dataclasses.replace(base, n=40, partition=wide),
+        dataclasses.replace(base, partition=wide),
         dataclasses.replace(base, schedule=QuenchSchedule(h0=1.095, v=0.02)),
         dataclasses.replace(base, t0=0.1),
         dataclasses.replace(base, partition=four, ensemble=four_dirs),

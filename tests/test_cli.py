@@ -146,6 +146,35 @@ def test_non_finite_or_non_numeric_float_exits_two(tmp_path, mode, text):
 
 
 @pytest.mark.parametrize(
+    "text",
+    ['{"ensemble_json": 5}', '{"ensemble_json": true}', '{"ensemble_json": ["a"]}', '{"out": 7}'],
+)
+def test_non_string_path_exits_two(tmp_path, text):
+    (name,) = json.loads(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    proc = run_cli(["dia", "--config", str(path), "--out", "out"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and name in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+@pytest.mark.parametrize(
+    "text", ['{"directions": [[1, 0]]}', "not json"], ids=["no-seed", "not-json"]
+)
+def test_malformed_replayed_ensemble_exits_two(tmp_path, text):
+    (tmp_path / "ens.json").write_text(text)
+    cfg = write_config(tmp_path, "c.json", ensemble_json="ens.json")
+    proc = run_cli(["dia", "--config", cfg, "--out", "out"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "ens.json" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "ens.json"]
+
+
+@pytest.mark.parametrize(
     "args", [["sweep-g"], ["preset", "fig5"]], ids=["sweep-g", "preset-fig5"]
 )
 def test_sweep_with_several_realizations_exits_two(tmp_path, args):

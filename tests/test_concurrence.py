@@ -95,15 +95,15 @@ def test_wootters_rejects_malformed_input():
 
 def test_closed_form_check_para_small():
     cfg = ParaConfig(n=6, g=0.04, h=2.0)
-    dev = closed_form_check("para", cfg, np.linspace(0.0, math.pi, 40))
+    dev = closed_form_check(cfg, np.linspace(0.0, math.pi, 40))
     assert dev < 1e-11
 
 
 def test_closed_form_check_dia_small():
-    dev = closed_form_check("dia", reference_dia_config(), np.linspace(0.0, 1.0, 40))
+    dev = closed_form_check(reference_dia_config(), np.linspace(0.0, 1.0, 40))
     assert dev < 1e-10
 
 
 def test_closed_form_check_rejects_unknown_setting():
     with pytest.raises(ValueError):
-        closed_form_check("bogus", ParaConfig(n=4, g=0.01, h=2.0), [0.0])
+        closed_form_check("bogus", [0.0])

@@ -8,14 +8,13 @@ import pytest
 from kzring.dia import (
     V_SPAN_MAX,
     DiaConfig,
-    branch_overlap,
-    concurrence,
+    concurrences,
     displacement_parameter,
     validate_trace_span,
 )
 from kzring.errors import ConfigError
 from kzring.sampler import DomainEnsemble, sample_initial_directions
-from kzring.scaling import QuenchSchedule, domain_partition
+from kzring.scaling import DomainPartition, QuenchSchedule, domain_partition
 from kzring.scs import ScsDirection, rotation_matrix
 
 
@@ -29,17 +28,24 @@ def make_config(theta=1.0, phi=0.0, g=1.0 / 6.0, h0=1.09, t0=0.0):
         mdz_target=math.cos(theta) / 2.0,
     )
     return DiaConfig(
-        n=20, g=g, schedule=schedule, t0=t0, partition=partition,
-        ensemble=ensemble,
+        g=g, schedule=schedule, t0=t0, partition=partition, ensemble=ensemble,
     )
 
 
-def test_config_rejects_mismatched_partition():
+def concurrence(cfg, t):
+    """The closed form of one config at one elapsed time, as a one-config batch."""
+    (c,) = concurrences([cfg], t)
+    return c
+
+
+def test_ring_size_is_the_partition_size():
     cfg = make_config()
-    with pytest.raises(ConfigError):
+    assert cfg.n == cfg.partition.xi_d * cfg.partition.n_d == 20
+    single = DomainPartition(xi_d=1, n_d=1)
+    with pytest.raises(ConfigError, match="at least 2 spins"):
         DiaConfig(
-            n=40, g=cfg.g, schedule=cfg.schedule, t0=cfg.t0,
-            partition=cfg.partition, ensemble=cfg.ensemble,
+            g=cfg.g, schedule=cfg.schedule, t0=cfg.t0, partition=single,
+            ensemble=cfg.ensemble,
         )
 
 
@@ -105,7 +111,6 @@ def test_concurrence_starts_at_one_and_stays_bounded():
     for t in np.linspace(0.0, 1.0, 41):
         c = concurrence(cfg, float(t))
         assert 0.0 <= c <= 1.0 + 1e-12
-        assert 0.0 <= branch_overlap(cfg, float(t)) <= 1.0 + 1e-12
 
 
 def test_equator_tilt_protects_concurrence():
@@ -127,7 +132,7 @@ def test_field_is_frozen_at_the_sample_instant():
     n0 = cfg.ensemble.directions[0].bloch()
     cos_half = math.sqrt(max(0.0, (1.0 + float((rot_p @ n0) @ (rot_m @ n0))) / 2.0))
     expected = cos_half ** (2.0 * cfg.partition.s_d * cfg.partition.n_d)
-    assert branch_overlap(cfg, t) == pytest.approx(expected, rel=1e-12)
+    assert concurrence(cfg, t) == pytest.approx(expected, rel=1e-12)
     assert abs(f) > 0
 
 
@@ -135,7 +140,7 @@ def test_regression_reference_scenario():
     ens = sample_initial_directions(2, m0z=0.32, mdz=0.33, seed=7)
     schedule = QuenchSchedule(h0=1.09, v=0.02)
     cfg = DiaConfig(
-        n=20, g=1.0 / 6.0, schedule=schedule, t0=0.0,
+        g=1.0 / 6.0, schedule=schedule, t0=0.0,
         partition=domain_partition(20, schedule), ensemble=ens,
     )
     assert concurrence(cfg, 0.7) == pytest.approx(0.7764778108658457, rel=1e-12)

@@ -22,7 +22,7 @@ from kzring.exact import (
     scs_cross_check,
     separable_state,
 )
-from kzring.para import ParaConfig, concurrence as para_concurrence
+from kzring.para import ParaConfig, concurrences as para_concurrences
 from kzring.scaling import QuenchSchedule
 from kzring.scs import ScsDirection
 
@@ -160,7 +160,7 @@ def test_weak_coupling_concurrence_tracks_closed_form():
             wootters_concurrence(reduced_device_state(states[i].ravel()))
             for i in range(len(times))
         ])
-        closed = np.array([para_concurrence(cfg, float(t)) for t in times])
+        closed = para_concurrences([cfg], times)[0]
         devs[g] = np.max(np.abs(exact - closed))
     assert devs[0.02] < 0.02
     assert devs[0.02] / devs[0.01] >= 2.0

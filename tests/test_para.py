@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kzring.errors import ConfigError
-from kzring.para import (
-    ParaConfig,
-    branch_overlap,
-    concurrence,
-    displacement_parameter,
-)
+from kzring.para import ParaConfig, concurrences, displacement_parameter
 from kzring.scs import ScsDirection
 
 FIG3 = ParaConfig(n=120, g=1.0 / 6.0, h=2.0)
+
+
+def concurrence(cfg, t):
+    """The closed form of one config at one time, as a one-config batch."""
+    (c,) = concurrences([cfg], t)
+    return c
 
 
 def test_config_enforces_weak_coupling():
@@ -68,10 +69,8 @@ def test_overlap_shrinks_with_ring_size():
     small = ParaConfig(n=8, g=0.1, h=2.0)
     large = ParaConfig(n=64, g=0.1, h=2.0)
     t = 0.4
-    assert branch_overlap(large, t) < branch_overlap(small, t)
-    assert branch_overlap(large, t) == pytest.approx(
-        branch_overlap(small, t) ** 8, rel=1e-9
-    )
+    assert concurrence(large, t) < concurrence(small, t)
+    assert concurrence(large, t) == pytest.approx(concurrence(small, t) ** 8, rel=1e-9)
 
 
 @given(

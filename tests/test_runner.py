@@ -88,6 +88,16 @@ def test_config_rejects_non_numeric_and_non_finite_floats(text):
         ScenarioConfig.from_json(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"ensemble_json": 5}', '{"ensemble_json": true}', '{"ensemble_json": ["a"]}', '{"out": 7}'],
+)
+def test_config_rejects_non_string_paths(text):
+    (name,) = json.loads(text)
+    with pytest.raises(ConfigError, match=f"{name} must be a string or null, got"):
+        ScenarioConfig.from_json(text, mode="dia")
+
+
 def test_config_keeps_integer_valued_floats_as_given():
     cfg = ScenarioConfig.from_json('{"hc": 1, "t_start": 0}')
     assert (cfg.hc, cfg.t_start) == (1, 0)
@@ -286,6 +296,17 @@ def test_ensemble_replay_reproduces_the_trace(tmp_path):
     a = res.tables["dia"].column("concurrence")
     b = replay.tables["dia"].column("concurrence")
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "text", ['{"directions": [[1, 0]]}', "not json"], ids=["no-seed", "not-json"]
+)
+def test_replay_of_a_malformed_ensemble_file_is_a_config_error(tmp_path, text):
+    ens_path = tmp_path / "ens.json"
+    ens_path.write_text(text)
+    cfg = ScenarioConfig(mode="dia", ensemble_json=str(ens_path), **QUICK)
+    with pytest.raises(ConfigError, match=f"ensemble file {ens_path} is not a saved"):
+        run_scenario(cfg)
 
 
 def test_replay_rejects_wrong_domain_count(tmp_path):

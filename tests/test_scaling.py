@@ -1,5 +1,6 @@
 """Quench schedule, freeze-out, and domain partition tests."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from kzring.errors import ConfigError, CriticalPointError, NoFreezeOutError, PartitionError
 from kzring.scaling import (
+    DomainPartition,
     QuenchSchedule,
     correlation_length,
     domain_partition,
@@ -84,6 +86,14 @@ def test_partition_matches_quoted_domain_sizes():
         assert p.j_eff == pytest.approx(2.0 / xi**2)
         raw = correlation_length(s, epsilon_at(s, freeze_out_time(s)))
         assert abs(p.xi_d - raw) / raw < 0.05
+
+
+def test_partition_stores_only_the_domain_sizes():
+    assert [f.name for f in dataclasses.fields(DomainPartition)] == ["xi_d", "n_d"]
+    p = DomainPartition(xi_d=7, n_d=3)
+    assert (p.s_d, p.j_eff) == (3.5, 2.0 / 49)
+    with pytest.raises(ConfigError):
+        DomainPartition(xi_d=0, n_d=3)
 
 
 def test_partition_prefers_larger_divisor_on_ties():
