@@ -15,7 +15,8 @@ pi = (+1, 0, 0, -1):
 
 Everything here is assembled from that block structure; matrices are real
 in the computational basis.  Intended for N up to 12 as an oracle, not for
-production-size rings.
+production-size rings.  scipy is imported by the functions that use it, at
+their first call, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh, expm_multiply
 
 from .errors import ConfigError, StepControlError
 from .scaling import QuenchSchedule, field_at
@@ -45,6 +44,7 @@ __all__ = [
     "CrossCheckReport",
     "DEVICE_PARITY",
     "ring_hamiltonian",
+    "ring_hamiltonian_dense",
     "magnetization_diagonal",
     "build_hamiltonian",
     "separable_state",
@@ -110,6 +110,13 @@ def magnetization_diagonal(n: int) -> np.ndarray:
     return 0.5 * (n - 2 * _bit_count(n)).astype(float)
 
 
+def _bond_entries(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of - sum_i sx_i sx_(i+1) on the periodic ring (each -1/4)."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    masks = [(1 << i) | (1 << ((i + 1) % n)) for i in range(n)]
+    return np.tile(idx, n), np.concatenate([idx ^ mask for mask in masks])
+
+
 @lru_cache(maxsize=1)
 def _bond_matrix(n: int) -> sp.csr_matrix:
     """- sum_i sx_i sx_(i+1) on the periodic ring (entries -1/4, bit pairs flipped).
@@ -119,21 +126,18 @@ def _bond_matrix(n: int) -> sp.csr_matrix:
     one size); callers must not modify it.  It stays resident: 2.7 MiB of
     arrays at n = 14.
     """
+    import scipy.sparse as sp
+
     dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
-    rows, cols = [], []
-    for i in range(n):
-        mask = (1 << i) | (1 << ((i + 1) % n))
-        rows.append(idx)
-        cols.append(idx ^ mask)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
+    rows, cols = _bond_entries(n)
     vals = np.full(rows.shape, -0.25)
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
 def _transverse_matrix(n: int) -> sp.csr_matrix:
     """sum_i sx_i (entries +1/2, single bit flipped)."""
+    import scipy.sparse as sp
+
     dim = 1 << n
     idx = np.arange(dim, dtype=np.int64)
     rows, cols = [], []
@@ -150,7 +154,20 @@ def ring_hamiltonian(n: int, h: float) -> sp.csr_matrix:
     """Sparse ring Hamiltonian - sum sx sx - h sum sz on n periodic sites."""
     if not (2 <= n <= MAX_RING_SITES):
         raise ConfigError(f"ring size must satisfy 2 <= n <= {MAX_RING_SITES}")
+    import scipy.sparse as sp
+
     return (_bond_matrix(n) - h * sp.diags(magnetization_diagonal(n))).tocsr()
+
+
+def ring_hamiltonian_dense(n: int, h: float) -> np.ndarray:
+    """ring_hamiltonian(n, h).toarray() bit for bit, built with numpy alone."""
+    if not (2 <= n <= MAX_RING_SITES):
+        raise ConfigError(f"ring size must satisfy 2 <= n <= {MAX_RING_SITES}")
+    dim = 1 << n
+    ham = np.zeros((dim, dim))
+    np.add.at(ham, _bond_entries(n), -0.25)
+    ham[np.diag_indices(dim)] -= h * magnetization_diagonal(n)
+    return ham
 
 
 def _block_hamiltonian(spec: HamiltonianSpec, parity: float, h: float) -> sp.csr_matrix:
@@ -158,6 +175,8 @@ def _block_hamiltonian(spec: HamiltonianSpec, parity: float, h: float) -> sp.csr
 
 
 def _full_sparse(spec: HamiltonianSpec, h: float) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     blocks = [_block_hamiltonian(spec, pi, h) for pi in DEVICE_PARITY]
     return sp.block_diag(blocks, format="csr")
 
@@ -206,6 +225,8 @@ def ground_state_ring(spec: HamiltonianSpec, t: float = 0.0) -> RingGroundState:
         e0, e1 = vals[0], vals[1]
         v0, v1 = vecs[:, 0], vecs[:, 1]
     else:
+        from scipy.sparse.linalg import eigsh
+
         start = np.full(dim, 1.0 / math.sqrt(dim))
         vals, vecs = eigsh(ham, k=2, which="SA", v0=start)
         order = np.argsort(vals)
@@ -242,6 +263,9 @@ def propagate(
     too coarse and StepControlError is raised, otherwise the finer result is
     returned.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import expm_multiply
+
     psi0 = np.asarray(state, dtype=complex).ravel()
     dim = 4 * (1 << spec.n)
     if psi0.shape != (dim,):

@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
 
 from .errors import ConfigError
-from .exact import magnetization_diagonal, ring_hamiltonian
+from .exact import magnetization_diagonal, ring_hamiltonian, ring_hamiltonian_dense
 from .scs import ScsDirection
 
 __all__ = [
@@ -81,15 +81,16 @@ class DomainEnsemble:
 
 @lru_cache(maxsize=128)
 def _ground_state_magnetization(h: float, n_ref: int) -> float:
-    ham = ring_hamiltonian(n_ref, h)
-    dim = ham.shape[0]
+    dim = 1 << n_ref
     if dim <= 1024:
-        vals, vecs = np.linalg.eigh(ham.toarray())
+        vals, vecs = np.linalg.eigh(ring_hamiltonian_dense(n_ref, h))
         vec = vecs[:, 0]
     else:
+        from scipy.sparse.linalg import eigsh
+
         # Deterministic start vector keeps repeated runs bit-identical.
         start = np.full(dim, 1.0 / math.sqrt(dim))
-        _, vecs = eigsh(ham, k=1, which="SA", v0=start)
+        _, vecs = eigsh(ring_hamiltonian(n_ref, h), k=1, which="SA", v0=start)
         vec = vecs[:, 0]
     mz = magnetization_diagonal(n_ref)
     return float(np.real(vec.conj() @ (mz * vec))) / n_ref
@@ -101,10 +102,12 @@ def equilibrium_magnetization(h: float, n_ref: int = 14) -> float:
     Exact diagonalization, so values land in [0, 1/2]: h = 0 gives 0 by the
     spin-flip symmetry of the bond term, large h saturates to 1/2.
     """
+    if isinstance(n_ref, bool) or not isinstance(n_ref, numbers.Integral):
+        raise ConfigError(f"reference ring size must be an integer, got {n_ref!r}")
     if not (2 <= n_ref <= 16):
         raise ConfigError(f"reference ring size must be in [2, 16], got {n_ref}")
-    if h < 0:
-        raise ConfigError(f"field must be >= 0, got h={h}")
+    if not math.isfinite(h) or h < 0:
+        raise ConfigError(f"field must be finite and >= 0, got h={h}")
     return _ground_state_magnetization(float(h), int(n_ref))
 
 
@@ -126,7 +129,7 @@ def sample_initial_directions(
     if n_d < 1:
         raise ConfigError(f"need at least one domain, got n_d={n_d}")
     for name, m in (("m0z", m0z), ("mdz", mdz)):
-        if abs(m) > 0.5 + 1e-12:
+        if not math.isfinite(m) or abs(m) > 0.5 + 1e-12:
             raise ConfigError(f"{name}={m} outside the per-spin range [-1/2, 1/2]")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(realization,)))
 

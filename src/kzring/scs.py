@@ -12,7 +12,9 @@ cos theta).  Overlaps of two coherent states decay with the angle Theta
 between their directions as cos^(2S)(Theta/2) in modulus.
 
 The Dicke-basis expansion coefficients are binomially weighted; they are
-accumulated in log space so spins in the hundreds stay finite.
+accumulated in log space so spins in the hundreds stay finite.  scipy is
+imported by `dicke_vector` and `displacement_matrix` at their first call, so
+importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gammaln
 
 __all__ = [
     "ScsDirection",
@@ -206,6 +206,8 @@ def dicke_vector(d: ScsDirection, s: float) -> np.ndarray:
     computed in log space.  The vector has unit norm; at theta = 0 it is the
     first basis vector.
     """
+    from scipy.special import gammaln
+
     n = _check_spin(s)
     if s > SPIN_CAP:
         raise ValueError(f"spin {s} above the Dicke-path cap {SPIN_CAP}")
@@ -248,6 +250,8 @@ def ladder_matrices(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def displacement_matrix(d: ScsDirection, s: float) -> np.ndarray:
     """Unitary exp(Omega S- - conj(Omega) S+) on the (2S+1)-dim Dicke space."""
+    import scipy.linalg
+
     n = _check_spin(s)
     if n + 1 > 2001:
         raise ValueError(f"spin {s} too large for a dense displacement matrix")

@@ -49,6 +49,15 @@ def test_ring_hamiltonians_share_one_unchanged_bond_matrix():
     assert (cached != fresh(10)).nnz == 0
 
 
+def test_dense_ring_hamiltonian_is_the_sparse_one_bit_for_bit():
+    for n in (2, 3, 6, 10):
+        for h in (0.0, 0.3, 1.01, 50.0):
+            dense = exact.ring_hamiltonian_dense(n, h)
+            assert dense.tobytes() == ring_hamiltonian(n, h).toarray().tobytes()
+    with pytest.raises(ValueError):
+        exact.ring_hamiltonian_dense(1, 1.0)
+
+
 def test_zero_coupling_decouples_device_blocks():
     spec = HamiltonianSpec(n=4, g=0.0, field=2.0)
     h = build_hamiltonian(spec, 0.0)

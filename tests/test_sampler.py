@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kzring.errors import ConfigError
 from kzring.sampler import (
     DomainEnsemble,
     ensemble_mean_magnetization,
@@ -107,6 +108,9 @@ def test_rejects_unphysical_targets():
         sample_initial_directions(3, 0.8, 0.2, seed=0)
     with pytest.raises(ValueError):
         sample_initial_directions(0, 0.2, 0.2, seed=0)
+    for m0z, mdz in ((math.nan, 0.2), (0.2, math.nan), (math.inf, 0.2), (0.2, -math.inf)):
+        with pytest.raises(ConfigError):
+            sample_initial_directions(3, m0z, mdz, seed=0)
 
 
 def test_equilibrium_magnetization_two_site_analytic():
@@ -142,3 +146,19 @@ def test_equilibrium_magnetization_validates_input():
         equilibrium_magnetization(1.0, n_ref=1)
     with pytest.raises(ValueError):
         equilibrium_magnetization(-0.5, n_ref=8)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_equilibrium_magnetization_rejects_a_non_finite_field(h):
+    with pytest.raises(ConfigError, match="finite"):
+        equilibrium_magnetization(h)
+
+
+@pytest.mark.parametrize("n_ref", [14.5, 14.0, True])
+def test_equilibrium_magnetization_rejects_a_non_integer_ring_size(n_ref):
+    with pytest.raises(ConfigError, match="integer"):
+        equilibrium_magnetization(1.0, n_ref=n_ref)
+
+
+def test_equilibrium_magnetization_accepts_a_numpy_integer_ring_size():
+    assert equilibrium_magnetization(1.0, n_ref=np.int64(8)) == equilibrium_magnetization(1.0, n_ref=8)
