@@ -14,6 +14,7 @@ from .concurrence import (
     device_density_matrix,
     wootters_concurrence,
 )
+from .config import ScenarioConfig
 from .dia import DiaConfig
 from .errors import (
     ConfigError,
@@ -23,13 +24,7 @@ from .errors import (
     StepControlError,
 )
 from .para import ParaConfig
-from .runner import (
-    DataTable,
-    ScenarioConfig,
-    ScenarioResult,
-    run_preset,
-    run_scenario,
-)
+from .runner import ScenarioResult, run_preset, run_scenario
 from .sampler import (
     DomainEnsemble,
     equilibrium_magnetization,
@@ -42,6 +37,7 @@ from .scaling import (
     freeze_out_time,
 )
 from .scs import ScsDirection
+from .tables import DataTable
 
 __all__ = [
     "__version__",

@@ -15,11 +15,10 @@ import dataclasses
 import os
 import sys
 
+from .config import MODES, ScenarioConfig
 from .errors import ConfigError
 from .runner import (
-    MODES,
     PRESET_NAMES,
-    ScenarioConfig,
     preset_config,
     run_preset,
     run_scenario,
@@ -102,10 +101,11 @@ def _run(args) -> int:
     for path in write_outputs(result, label, mode, out):
         print(path)
     if mode == "oracle-check":
-        rows = result.tables["oracle"].rows
-        for name, dev, tol, verdict in rows:
+        table = result.tables["oracle"]
+        checks = ("check", "max_deviation", "tolerance", "verdict")
+        for name, dev, tol, verdict in zip(*map(table.column, checks)):
             print(f"{name}: deviation {dev:.3e} (tolerance {tol:g}) {verdict}")
-        if any(row[3] != "pass" for row in rows):
+        if any(verdict != "pass" for verdict in table.column("verdict")):
             return 1
     return 0
 

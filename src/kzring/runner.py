@@ -1,10 +1,8 @@
-"""Scenario orchestration: configs, traces, CSV and plot-script emission.
+"""Scenario orchestration: traces, presets, oracles and output files.
 
-A ScenarioConfig describes one run of either closed-form regime (or a
-comparison/sweep across both), carrying the quench schedule, the grid, the
-RNG seed, and the guard overrides.  Results come back as small column
-tables that serialize to deterministic CSV: same config, seed and BLAS
-thread count, same bytes.
+run_scenario turns a ScenarioConfig into column tables; write_outputs
+writes them as deterministic CSV (same config, seed and BLAS thread count,
+same bytes), with any sampled ensembles and a gnuplot script.
 
 Magnetization lookup: the sampler's exact-diagonalization oracle acts on
 the spin-1/2 ring, whose true critical field sits at 1/2, while the quench
@@ -18,10 +16,8 @@ unscaled ring instead.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
-import unicodedata
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +25,8 @@ import numpy as np
 from . import __version__
 from . import dia as dia_mod
 from . import para as para_mod
-from ._csvtext import csv_lines
 from .concurrence import closed_form_check
+from .config import ScenarioConfig
 from .errors import ConfigError
 from .exact import scs_cross_check
 from .sampler import (
@@ -41,218 +37,21 @@ from .sampler import (
 )
 from .scaling import QuenchSchedule, domain_partition, field_at, freeze_out_time
 from .scs import ScsDirection, overlap_exact, overlap_magnitude
+from .tables import DataTable, emit_csv
 
 __all__ = [
-    "MODES",
     "PRESET_NAMES",
-    "ScenarioConfig",
-    "DataTable",
     "ScenarioResult",
     "run_scenario",
     "preset_config",
     "run_preset",
     "reference_dia_config",
     "oracle_report",
-    "emit_csv",
-    "parse_csv",
     "emit_plot_script",
     "write_outputs",
 ]
 
-MODES = ("para", "dia", "compare", "sweep-g", "oracle-check")
 PRESET_NAMES = ("fig3", "fig4", "fig5")
-
-
-def _finite_number(value) -> bool:
-    """Whether value is an int or float, not a bool, with a finite float value."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-# What each ScenarioConfig annotation admits, and how an error names it.  A
-# count is never a float or bool, which would be truncated or fail deep
-# inside a run; a real number is never a bool, a string or non-finite, which
-# would reach a solver or the CSV header; a path is never an int, which
-# open() would take for a file descriptor.
-_ANNOTATION_CHECKS = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (_finite_number, "a finite number"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
-}
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Everything one scenario run depends on; JSON round-trippable."""
-
-    mode: str = "compare"
-    label: str = ""
-    n: int = 120
-    g: float = 1.0 / 6.0
-    h_para: float = 2.0
-    h0: float = 1.01
-    v: float = 6e-4
-    hc: float = 1.0
-    nu: float = 1.0
-    z: float = 1.0
-    xi0: float = 1.0
-    tau0: float = 0.5
-    t0_offset: float = 12.0
-    t_start: float = 0.0
-    t_stop: float = 1.0
-    t_points: int = 201
-    seed: int = 1
-    realizations: int = 1
-    n_ref: int = 14
-    mz_field_scale: float = 0.5
-    g_max: float = 0.25
-    g_to_h_max: float = 0.25
-    g_sweep_min: float = 0.02
-    g_sweep_max: float = 0.25
-    g_sweep_points: int = 50
-    ensemble_json: str | None = None
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            admits, expected = _ANNOTATION_CHECKS[f.type]
-            value = getattr(self, f.name)
-            if not admits(value):
-                raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        # The label prefixes every output file name, so it must not leave
-        # the output directory; it is also written into one-line gnuplot
-        # strings and comments, which a control character would break.
-        if self.label in (".", "..") or any(
-            sep and sep in self.label for sep in ("/", os.sep, os.altsep)
-        ) or any(unicodedata.category(ch) == "Cc" for ch in self.label):
-            raise ConfigError(
-                f"label must be a plain file-name prefix, got {self.label!r}"
-            )
-        if self.t_points < 2:
-            raise ConfigError("a trace needs at least 2 grid points")
-        if self.t_stop < self.t_start:
-            raise ConfigError("grid must have t_stop >= t_start")
-        if self.realizations < 1:
-            raise ConfigError("realizations must be >= 1")
-        if self.ensemble_json is not None and self.realizations > 1:
-            raise ConfigError(
-                "a replayed ensemble fixes the domain directions, so "
-                "realizations > 1 would repeat one realization; drop "
-                "ensemble_json or set realizations to 1"
-            )
-        if self.g_sweep_points < 2 or self.g_sweep_max < self.g_sweep_min:
-            raise ConfigError("sweep grid must be ordered with >= 2 points")
-        if self.mode == "sweep-g" and self.realizations > 1:
-            raise ConfigError(
-                "sweep-g evaluates a single domain realization; set "
-                "realizations to 1"
-            )
-        if self.mode == "sweep-g" and self.g_sweep_max > self.g_max:
-            raise ConfigError(
-                f"sweep reaches g={self.g_sweep_max} above the weak-coupling "
-                f"guard g_max={self.g_max}; raise g_max (and g_to_h_max) "
-                "deliberately if the stronger couplings are wanted"
-            )
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str, mode: str | None = None) -> "ScenarioConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config JSON must be an object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        if mode is not None:
-            stated = data.get("mode")
-            if stated is not None and stated != mode:
-                raise ConfigError(
-                    f"config says mode={stated!r} but the command requested {mode!r}"
-                )
-            data["mode"] = mode
-        return cls(**data)
-
-    def schedule(self) -> QuenchSchedule:
-        return QuenchSchedule(
-            h0=self.h0, v=self.v, hc=self.hc, nu=self.nu, z=self.z,
-            xi0=self.xi0, tau0=self.tau0,
-        )
-
-
-def _column(cells):
-    if isinstance(cells, np.ndarray) or not any(isinstance(v, str) for v in cells):
-        return np.asarray(cells, dtype=float)
-    return tuple(cells)
-
-
-class DataTable:
-    """Named columns of floats/strings, with opaque metadata.
-
-    Columns are stored whole: a column of numbers as a float array, any
-    column holding a string as a tuple of its cells.  `rows` is derived.
-    """
-
-    def __init__(self, columns, rows, metadata=None):
-        columns = tuple(columns)
-        rows = [tuple(r) for r in rows]
-        for r in rows:
-            if len(r) != len(columns):
-                raise ValueError("row width does not match the column count")
-        cells = list(zip(*rows)) if rows else [()] * len(columns)
-        self._store(columns, cells, metadata)
-
-    @classmethod
-    def from_columns(cls, columns, data, metadata=None) -> "DataTable":
-        """Build a table from one sequence of cells per column."""
-        columns = tuple(columns)
-        data = list(data)
-        if len(data) != len(columns) or len({len(c) for c in data}) > 1:
-            raise ValueError("columns must match the names and share one length")
-        table = cls.__new__(cls)
-        table._store(columns, data, metadata)
-        return table
-
-    def _store(self, columns, cells, metadata) -> None:
-        self.columns = tuple(str(c) for c in columns)
-        self.data = [_column(c) for c in cells]
-        self.metadata = dict(metadata or {})
-
-    @property
-    def rows(self) -> list[tuple]:
-        return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.data)))
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array(self.data[self.columns.index(name)], dtype=float)
-
-    def isclose(self, other: "DataTable", rtol: float = 1e-11, atol: float = 1e-13) -> bool:
-        rows, other_rows = self.rows, other.rows
-        if self.columns != other.columns or len(rows) != len(other_rows):
-            return False
-        if self.metadata != other.metadata:
-            return False
-        for ra, rb in zip(rows, other_rows):
-            for a, b in zip(ra, rb):
-                if isinstance(a, str) or isinstance(b, str):
-                    if str(a) != str(b):
-                        return False
-                elif not math.isclose(float(a), float(b), rel_tol=rtol, abs_tol=atol):
-                    return False
-        return True
 
 
 def _validate_trace(table: DataTable) -> DataTable:
@@ -357,7 +156,7 @@ def _run_para(cfg: ScenarioConfig) -> DataTable:
     meta = _base_metadata(cfg)
     meta["regime"] = "paramagnetic closed form"
     return _validate_trace(
-        DataTable.from_columns(
+        DataTable(
             ("t_elapsed", "concurrence", "branch_overlap_modulus", "h_t"),
             (grid, conc, conc, np.full_like(grid, cfg.h_para)),
             meta,
@@ -405,7 +204,7 @@ def _run_dia(cfg: ScenarioConfig) -> tuple[DataTable, dict[str, DomainEnsemble]]
             "branch_overlap_modulus", "h_t",
         )
         data = (grid, mean, by_time.min(axis=1), by_time.max(axis=1), mean, h_vals)
-    return _validate_trace(DataTable.from_columns(columns, data, meta)), ensembles
+    return _validate_trace(DataTable(columns, data, meta)), ensembles
 
 
 def _run_compare(cfg: ScenarioConfig) -> ScenarioResult:
@@ -415,7 +214,7 @@ def _run_compare(cfg: ScenarioConfig) -> ScenarioResult:
     diff = dia_table.column("concurrence") - para_table.column("concurrence")
     meta = _base_metadata(cfg)
     meta["regime"] = "difference (frozen-domain minus paramagnetic)"
-    diff_table = DataTable.from_columns(("t_elapsed", "difference"), (t, diff), meta)
+    diff_table = DataTable(("t_elapsed", "difference"), (t, diff), meta)
     return ScenarioResult(
         tables={"para": para_table, "dia": dia_table, "difference": diff_table},
         ensembles=ensembles,
@@ -445,7 +244,7 @@ def _run_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     c_p = para_mod.concurrences(para_cfgs, grid_t).reshape(-1)
     meta = _base_metadata(cfg)
     meta["regime"] = "coupling sweep (frozen-domain minus paramagnetic)"
-    table = DataTable.from_columns(
+    table = DataTable(
         ("g", "t_elapsed", "concurrence_dia", "concurrence_para", "difference"),
         (np.repeat(grid_g, len(grid_t)), np.tile(grid_t, len(grid_g)), c_d, c_p, c_d - c_p),
         meta,
@@ -497,20 +296,18 @@ def oracle_report(cfg: ScenarioConfig | None = None) -> DataTable:
                 dev_overlap,
                 abs(abs(overlap_exact(d1, d2, s)) ** 2 - overlap_magnitude(d1, d2, s)),
             )
-    checks = [
-        ("closed_form_para", dev_para, 1e-10),
-        ("closed_form_dia", dev_dia, 1e-10),
-        ("scs_cross_check", dev_scs, 1e-10),
-        ("overlap_dicke_vs_half_angle", dev_overlap, 1e-10),
-    ]
+    names = (
+        "closed_form_para", "closed_form_dia", "scs_cross_check", "overlap_dicke_vs_half_angle",
+    )
+    dev = np.array([dev_para, dev_dia, dev_scs, dev_overlap], dtype=float)
+    tol = np.full(dev.shape, 1e-10)
+    verdict = tuple(np.where(dev < tol, "pass", "FAIL").tolist())
     meta = _base_metadata(cfg) if cfg is not None else {
         "generator": f"kzring {__version__}", "mode": "oracle-check",
     }
-    rows = [
-        (name, float(dev), tol, "pass" if dev < tol else "FAIL")
-        for name, dev, tol in checks
-    ]
-    return DataTable(("check", "max_deviation", "tolerance", "verdict"), rows, meta)
+    return DataTable(
+        ("check", "max_deviation", "tolerance", "verdict"), (names, dev, tol, verdict), meta
+    )
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
@@ -565,65 +362,6 @@ def run_preset(name: str, **overrides) -> ScenarioResult:
             merged.ensembles[f"{prefix}_{key}" if prefix else key] = ens
     return merged
 
-
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        if "," in value or "\n" in value:
-            raise ValueError("table strings must not contain commas or newlines")
-        return value
-    return f"{float(value):.12g}"
-
-
-def emit_csv(table: DataTable, path: str) -> None:
-    """Write metadata (# key = value), a header row, then 12-digit data rows.
-
-    Each numeric cell is exactly the text of `'%.12g' % value`, built
-    vectorised a block of rows at a time; subnormal and non-finite cells
-    and magnitudes of 1e10 or more fall back to per-cell formatting.
-    Output is UTF-8 with LF endings and is byte-deterministic for a given
-    table.
-    """
-    lines = [f"# {k} = {v}" for k, v in table.metadata.items()]
-    lines.append(",".join(table.columns))
-    head = ("\n".join(lines) + "\n").encode("utf-8")
-    columns = [
-        c if isinstance(c, np.ndarray) else [_format_cell(v) for v in c]
-        for c in table.data
-    ]
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.writelines(csv_lines(columns))
-
-
-def parse_csv(path: str) -> DataTable:
-    """Read a table written by emit_csv (floats where cells parse as float)."""
-    metadata: dict[str, str] = {}
-    columns: tuple[str, ...] | None = None
-    rows: list[tuple] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                key, _, value = body.partition(" = ")
-                metadata[key] = value
-                continue
-            cells = line.split(",")
-            if columns is None:
-                columns = tuple(cells)
-                continue
-            parsed = []
-            for cell in cells:
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    parsed.append(cell)
-            rows.append(tuple(parsed))
-    if columns is None:
-        raise ValueError(f"no header row found in {path}")
-    return DataTable(columns, rows, metadata)
 
 
 def _gp_str(text: str) -> str:

@@ -126,8 +126,14 @@ def sample_initial_directions(
 
     See the module docstring for the draw order and stream derivation.
     """
+    for name, value in (("n_d", n_d), ("seed", seed), ("realization", realization)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if n_d < 1:
         raise ConfigError(f"need at least one domain, got n_d={n_d}")
+    for name, value in (("seed", seed), ("realization", realization)):
+        if value < 0:
+            raise ConfigError(f"{name} must be >= 0, got {value}")
     for name, m in (("m0z", m0z), ("mdz", mdz)):
         if not math.isfinite(m) or abs(m) > 0.5 + 1e-12:
             raise ConfigError(f"{name}={m} outside the per-spin range [-1/2, 1/2]")

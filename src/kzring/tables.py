@@ -1,8 +1,14 @@
-"""CSV rows whose numeric cells are exactly the text of `'%.12g' % v`.
+"""Column tables and the CSV format they are written in.
 
-Numbers are formatted a block of rows at a time with numpy: each cell is
-laid into a fixed slot of bytes together with a mask of the bytes it keeps,
-and the kept bytes of a block, in order, are its CSV lines.
+A DataTable holds named columns, each a float array or a tuple of strings,
+and string metadata.  emit_csv writes it as `# key = value` metadata lines,
+a header row, then one line per row, UTF-8 with LF endings; each numeric
+cell is exactly the text of `'%.12g' % v`.
+
+A table of float columns is formatted a block of rows at a time with numpy:
+each cell is laid into a fixed slot of bytes together with a mask of the
+bytes it keeps, and the kept bytes of a block, in order, are its CSV lines.
+A table with a string column is written row by row.
 
 Exact path, for ±0 and every normal double with |v| < 1e10: with
 X = floor(log10|v|) and k = 11 − X (1 <= k <= 319), y = |v|·10^k lies in
@@ -25,7 +31,8 @@ value of hi + lo corrects an X misjudged by log10 and rounds N.
 
 Cells with no exact path go through Python's own per-cell formatting
 (`_per_cell`): subnormals, inf, nan, |v| >= 1e10 and the near-ties above.
-No kzring table holds any of them.
+No kzring table of float columns holds any of them.  The numbers of a
+table with a string column all go through `_per_cell`.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["BLOCK_ROWS", "csv_lines"]
+__all__ = ["BLOCK_ROWS", "DataTable", "csv_lines", "emit_csv"]
 
 # Rows formatted per numpy pass: small enough that a block's temporaries
 # stay in cache, large enough that the per-pass overhead is amortized.
@@ -81,7 +88,7 @@ def _words(byte_rows: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _tables():
+def _lookup_tables():
     """Lookup tables, built on first use so that importing stays free.
 
     quad[g]: the 4 digits of g < 10^4, each followed by '.' (one word).
@@ -149,7 +156,7 @@ def _number_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a[other] = 1.0
     x = np.floor(np.log10(a)).astype(np.intp)
     a *= 2.0**64
-    quad, zeros, exponent, kind, keep_rows, q_hi, q_lo = _tables()
+    quad, zeros, exponent, kind, keep_rows, q_hi, q_lo = _lookup_tables()
     hi, lo = _scaled(a, 11 - x, q_hi, q_lo)
     low = (hi < 1e11) | ((hi == 1e11) & (lo < 0))
     high = (hi > 1e12) | ((hi == 1e12) & (lo >= 0))
@@ -202,52 +209,69 @@ def _number_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return text, keep
 
 
-def _string_slots(cells: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Text and keep mask, both (n, width), of each cell's UTF-8 bytes + ','."""
-    encoded = [c.encode("utf-8") for c in cells]
-    joined = b"".join(b.ljust(width - 1, b"\0") + b"," for b in encoded)
-    lengths = np.array([len(b) for b in encoded])
-    slot = np.arange(width)
-    keep = (slot < lengths[:, None]) | (slot == width - 1)
-    return np.frombuffer(joined, dtype=np.uint8).reshape(-1, width), keep
-
-
 def _block(columns: list) -> bytes:
     """The CSV lines of one block of rows."""
-    rows, ncols = len(columns[0]), len(columns)
-    numeric = [i for i, c in enumerate(columns) if isinstance(c, np.ndarray)]
-    strings = [i for i, c in enumerate(columns) if not isinstance(c, np.ndarray)]
-    if numeric:
-        num_text, num_keep = _number_slots(np.stack([columns[i] for i in numeric], axis=1))
-    if not strings:
-        text = num_text.reshape(rows, ncols, SLOT)
-        keep = num_keep.reshape(rows, ncols, SLOT)
-    else:
-        longest = max(len(s.encode("utf-8")) for i in strings for s in columns[i])
-        width = max(SLOT, longest + 1)
-        text = np.zeros((rows, ncols, width), dtype=np.uint8)
-        keep = np.zeros((rows, ncols, width), dtype=bool)
-        if numeric:
-            # Every slot ends in its separator, so a number's moves to the
-            # end of the wider slot.
-            text[:, numeric, : SLOT - 1] = num_text.reshape(rows, -1, SLOT)[:, :, :-1]
-            keep[:, numeric, : SLOT - 1] = num_keep.reshape(rows, -1, SLOT)[:, :, :-1]
-            text[:, numeric, -1] = ord(",")
-            keep[:, numeric, -1] = True
-        for i in strings:
-            text[:, i], keep[:, i] = _string_slots(columns[i], width)
-    text[:, -1, -1] = ord("\n")
+    text, keep = _number_slots(np.stack(columns, axis=1))
+    # One row of slots per line: its last slot's separator ends the line.
+    text.reshape(len(columns[0]), -1)[:, -1] = ord("\n")
     return np.compress(keep.reshape(-1), text.reshape(-1)).tobytes()
 
 
 def csv_lines(columns: list):
-    """Yield the CSV lines of the given columns, one block of rows at a time.
+    """Yield the CSV lines of the given float columns, a block of rows at a time.
 
-    A column is either a float array, written as `'%.12g' % v` per cell,
-    or a list of strings, written as their UTF-8 bytes.  The caller checks
-    that no string holds a comma or a newline.  Lines end in LF.
+    Each cell is written as `'%.12g' % v`.  Lines end in LF.
     """
     if not columns:
         return
     for start in range(0, len(columns[0]), BLOCK_ROWS):
         yield _block([c[start : start + BLOCK_ROWS] for c in columns])
+
+
+def _column(cells):
+    """A float array, or a tuple if the cells hold a string: then all must."""
+    if isinstance(cells, np.ndarray) or not any(isinstance(v, str) for v in cells):
+        return np.asarray(cells, dtype=float)
+    cells = tuple(cells)
+    for v in cells:
+        if not isinstance(v, str):
+            raise ValueError(f"a string column holds the non-string {v!r}")
+        if "," in v or "\n" in v:
+            raise ValueError("table strings must not contain commas or newlines")
+    return cells
+
+
+class DataTable:
+    """Named columns, each a float array or a tuple of strings, with metadata."""
+
+    def __init__(self, columns, data, metadata=None):
+        self.columns = tuple(str(c) for c in columns)
+        self.data = [_column(c) for c in data]
+        if len(self.data) != len(self.columns) or len({len(c) for c in self.data}) > 1:
+            raise ValueError("columns must match the names and share one length")
+        self.metadata = dict(metadata or {})
+
+    def column(self, name: str):
+        """The named column as stored: a float array or a tuple of strings."""
+        return self.data[self.columns.index(name)]
+
+
+def emit_csv(table: DataTable, path: str) -> None:
+    """Write metadata (# key = value), a header row, then 12-digit data rows.
+
+    Each numeric cell is exactly the text of `'%.12g' % value`.  Output is
+    UTF-8 with LF endings and is byte-deterministic for a given table.
+    """
+    lines = [f"# {k} = {v}" for k, v in table.metadata.items()]
+    lines.append(",".join(table.columns))
+    head = ("\n".join(lines) + "\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(head)
+        if all(isinstance(c, np.ndarray) for c in table.data):
+            fh.writelines(csv_lines(table.data))
+        else:
+            cells = [
+                _per_cell(c) if isinstance(c, np.ndarray) else [v.encode("utf-8") for v in c]
+                for c in table.data
+            ]
+            fh.writelines(b",".join(row) + b"\n" for row in zip(*cells))

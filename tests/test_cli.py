@@ -1,7 +1,8 @@
-"""End-to-end command-line checks (subprocess level)."""
+"""End-to-end command-line checks, mostly at subprocess level."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,9 @@ from pathlib import Path
 import pytest
 
 import kzring
+import kzring.cli
+import kzring.runner
+from kzring.tables import DataTable
 
 QUICK_CONFIG = {"t_points": 11}
 
@@ -224,3 +228,24 @@ def test_oracle_check_passes_and_prints_verdicts(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("pass") >= 4
     assert (tmp_path / "out" / "oracle-check_oracle.csv").exists()
+    checks = [
+        "closed_form_para", "closed_form_dia", "scs_cross_check", "overlap_dicke_vs_half_angle",
+    ]
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 + len(checks)
+    for name, line in zip(checks, lines[1:]):
+        assert re.fullmatch(rf"{name}: deviation \d\.\d{{3}}e-\d\d \(tolerance 1e-10\) pass", line)
+
+
+def test_a_failing_oracle_check_prints_fail_and_exits_one(tmp_path, monkeypatch, capsys):
+    table = DataTable(
+        ("check", "max_deviation", "tolerance", "verdict"),
+        (("closed_form_dia",), [2.5e-9], [1e-10], ("FAIL",)),
+    )
+    monkeypatch.setattr(kzring.runner, "oracle_report", lambda cfg=None: table)
+    assert kzring.cli.main(["oracle-check", "--out", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        str(tmp_path / "oracle-check_oracle.csv"),
+        "closed_form_dia: deviation 2.500e-09 (tolerance 1e-10) FAIL",
+    ]

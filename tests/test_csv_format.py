@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import kzring
-from kzring import _csvtext
-from kzring._csvtext import csv_lines
+from kzring import tables
+from kzring.tables import csv_lines
 
 SMALLEST_NORMAL = float(np.finfo(float).tiny)
 LARGEST_SUBNORMAL = float(np.nextafter(SMALLEST_NORMAL, 0.0))
@@ -121,7 +121,7 @@ def test_scaled_product_stays_within_the_stated_bound():
     rng = np.random.default_rng(5)
     v = np.concatenate([10.0 ** rng.uniform(-308, 10, 4000), [SMALLEST_NORMAL, 9.999999999999e9]])
     k = 11 - np.floor(np.log10(v)).astype(np.intp)
-    hi, lo = _csvtext._scaled(v * 2.0**64, k, *_csvtext._tables()[-2:])
+    hi, lo = tables._scaled(v * 2.0**64, k, *tables._lookup_tables()[-2:])
     for vi, ki, h, l in zip(v.tolist(), k.tolist(), hi.tolist(), lo.tolist()):
         y = Fraction(vi) * Fraction(10) ** ki
         error = abs(Fraction(h) + Fraction(l) - y)
@@ -142,13 +142,13 @@ def test_special_values(value):
 def count_per_cell(monkeypatch) -> list[float]:
     """Record every value that csv_lines formats one cell at a time."""
     seen = []
-    per_cell = _csvtext._per_cell
+    per_cell = tables._per_cell
 
     def counting(values):
         seen.extend(values.tolist())
         return per_cell(values)
 
-    monkeypatch.setattr(_csvtext, "_per_cell", counting)
+    monkeypatch.setattr(tables, "_per_cell", counting)
     return seen
 
 
@@ -172,7 +172,7 @@ def test_ties_within_the_error_bound_go_one_at_a_time(monkeypatch):
     # No double is known to land within 2^-63 of a halfway point, so the
     # bound is widened: every cell below 1e-11 whose hi then sits exactly
     # on m + 1/2 must take the per-cell path, and still read the same.
-    monkeypatch.setattr(_csvtext, "_NEAR_TIE", 1.0)
+    monkeypatch.setattr(tables, "_NEAR_TIE", 1.0)
     seen = count_per_cell(monkeypatch)
     values = np.array(nearest_halfway(range(-60, -11), 40, seed=23))
     assert mismatches(values) == []
@@ -184,8 +184,8 @@ def test_importing_the_cli_builds_no_formatter_tables():
     # The tables, and the exact arithmetic that builds them, wait for the
     # first CSV, so a command's start-up does not pay for them.
     code = (
-        "import sys, kzring.cli, kzring._csvtext as c; "
-        "print(c._tables.cache_info().currsize, 'fractions' in sys.modules)"
+        "import sys, kzring.cli, kzring.tables as c; "
+        "print(c._lookup_tables.cache_info().currsize, 'fractions' in sys.modules)"
     )
     env = dict(os.environ)
     rest = env.get("PYTHONPATH")

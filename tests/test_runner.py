@@ -1,22 +1,19 @@
 """Scenario orchestration: configs, tables, CSV round trips, presets."""
 
 import json
-import math
 import os
 
 import numpy as np
 import pytest
+from csvfile import assert_reads_back, read_csv
 
 from kzring import dia as dia_mod
 from kzring import para as para_mod
+from kzring.config import ScenarioConfig
 from kzring.errors import ConfigError
 from kzring.runner import (
-    DataTable,
-    ScenarioConfig,
-    emit_csv,
     emit_plot_script,
     oracle_report,
-    parse_csv,
     preset_config,
     reference_dia_config,
     run_preset,
@@ -29,6 +26,7 @@ from kzring.sampler import (
     sample_initial_directions,
 )
 from kzring.scaling import domain_partition, field_at, freeze_out_time
+from kzring.tables import DataTable, emit_csv
 
 QUICK = dict(t_points=21)  # keep module-level runs snappy
 
@@ -127,8 +125,8 @@ def test_para_run_shape_and_boundaries():
     res = run_scenario(ScenarioConfig(mode="para", **QUICK))
     table = res.tables["para"]
     assert table.columns == ("t_elapsed", "concurrence", "branch_overlap_modulus", "h_t")
-    assert len(table.rows) == 21
     t = table.column("t_elapsed")
+    assert len(t) == 21
     assert t[0] == 0.0 and t[-1] == 1.0
     assert table.column("concurrence")[0] == pytest.approx(1.0, abs=1e-12)
     assert res.ensembles == {}
@@ -239,7 +237,7 @@ def test_sweep_run_is_g_major():
     res = run_scenario(cfg)
     table = res.tables["sweep"]
     g = table.column("g")
-    assert len(table.rows) == 12
+    assert len(g) == 12
     assert list(g[:4]) == [pytest.approx(0.05)] * 4
     diff = table.column("difference")
     manual = table.column("concurrence_dia") - table.column("concurrence_para")
@@ -261,29 +259,39 @@ def test_csv_round_trip(tmp_path):
     res = run_scenario(ScenarioConfig(mode="para", **QUICK))
     path = tmp_path / "para.csv"
     emit_csv(res.tables["para"], str(path))
-    back = parse_csv(str(path))
-    assert back.columns == res.tables["para"].columns
-    assert back.isclose(res.tables["para"])
+    assert_reads_back(path, res.tables["para"])
     text = path.read_text()
     assert text.startswith("# generator = kzring")
     assert "\r" not in text
 
 
-def test_table_rejects_ragged_rows_and_bad_traces():
-    with pytest.raises(ValueError):
-        DataTable(("a", "b"), [(1.0,)])
-    with pytest.raises(ValueError):
-        emit_csv(DataTable(("a",), [("has,comma",)]), os.devnull)
+def test_table_rejects_ragged_rows_and_bad_traces(tmp_path):
+    bad = [
+        (("a", "b"), ([1.0, 2.0], [1.0])),  # unequal lengths
+        (("a", "b"), (np.zeros(2), ("x",))),
+        (("a", "b"), ([1.0],)),  # more names than columns
+        (("a",), ([1.0], [2.0])),  # more columns than names
+        (("a",), (("x", 1.5),)),  # a number in a string column
+        (("a",), (("has,comma",),)),
+        (("a",), (("two\nlines",),)),
+    ]
+    path = tmp_path / "bad.csv"
+    for names, data in bad:
+        with pytest.raises(ValueError):
+            emit_csv(DataTable(names, data), str(path))
+        assert not path.exists()
 
 
 def test_empty_table_emits_header_and_metadata_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_csv(DataTable(("x", "y"), [], {"note": "none"}), str(path))
+    table = DataTable(("x", "y"), ([], []), {"note": "none"})
+    emit_csv(table, str(path))
     lines = path.read_text().splitlines()
     assert lines == ["# note = none", "x,y"]
-    back = parse_csv(str(path))
-    assert back.columns == ("x", "y")
-    assert back.rows == []
+    assert_reads_back(path, table)
+    _, names, columns = read_csv(path)
+    assert names == ("x", "y")
+    assert [len(c) for c in columns] == [0, 0]
 
 
 def test_ensemble_replay_reproduces_the_trace(tmp_path):
@@ -340,7 +348,7 @@ def test_preset_runner_merges_labeled_tables():
 
 def test_oracle_report_passes_everywhere():
     table = oracle_report()
-    verdicts = {row[0]: row[3] for row in table.rows}
+    verdicts = dict(zip(table.column("check"), table.column("verdict")))
     assert set(verdicts) == {
         "closed_form_para", "closed_form_dia", "scs_cross_check",
         "overlap_dicke_vs_half_angle",

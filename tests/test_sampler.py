@@ -162,3 +162,31 @@ def test_equilibrium_magnetization_rejects_a_non_integer_ring_size(n_ref):
 
 def test_equilibrium_magnetization_accepts_a_numpy_integer_ring_size():
     assert equilibrium_magnetization(1.0, n_ref=np.int64(8)) == equilibrium_magnetization(1.0, n_ref=8)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"n_d": 2.5}, "n_d"),
+        ({"n_d": True}, "n_d"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"realization": -1}, "realization"),
+        ({"realization": 0.5}, "realization"),
+    ],
+)
+def test_sampler_rejects_bad_counts_and_seeds_before_drawing(kwargs, name, monkeypatch):
+    def no_draw(*args, **kw):
+        raise AssertionError("drew before checking the arguments")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    args = {"n_d": 3, "m0z": 0.3, "mdz": 0.35, "seed": 11, "realization": 0, **kwargs}
+    with pytest.raises(ConfigError, match=name):
+        sample_initial_directions(**args)
+
+
+def test_sampler_accepts_numpy_integers():
+    ens = sample_initial_directions(
+        np.int64(3), 0.3, 0.35, seed=np.int64(11), realization=np.int32(1)
+    )
+    assert ens == sample_initial_directions(3, 0.3, 0.35, seed=11, realization=1)
