@@ -136,8 +136,8 @@ def _dia_overlap_matrix(cfg: dia_mod.DiaConfig, t: float) -> np.ndarray:
     for pi in sorted(set(PARITY_WEIGHTS)):
         rotors[pi] = displacement_matrix(ScsDirection.from_omega(pi * f), s_d)
     branch_vectors: list[list[np.ndarray]] = [[] for _ in range(4)]
-    for d0 in cfg.ensemble.directions:
-        psi0 = displacement_matrix(d0, s_d)[:, 0]
+    for theta, phi in zip(cfg.ensemble.theta, cfg.ensemble.phi):
+        psi0 = displacement_matrix(ScsDirection(theta, phi), s_d)[:, 0]
         for a, pi in enumerate(PARITY_WEIGHTS):
             branch_vectors[a].append(field_phase * (rotors[pi] @ psi0))
     gram = np.empty((4, 4), dtype=complex)

@@ -100,8 +100,8 @@ class ScenarioConfig:
             )
         if self.t_points < 2:
             raise ConfigError("a trace needs at least 2 grid points")
-        if self.t_stop < self.t_start:
-            raise ConfigError("grid must have t_stop >= t_start")
+        if self.t_stop <= self.t_start:
+            raise ConfigError("grid must have t_stop > t_start")
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
         if self.ensemble_json is not None and self.realizations > 1:

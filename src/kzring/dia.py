@@ -21,10 +21,10 @@ domain delta.
 of configs that differ only in g and ensemble and a scalar elapsed time or
 an array of them, and runs one batched kernel that computes the time
 factors once and the branch rotors once per distinct g.  It rotates each
-domain's Bloch vector by all the rotors of its g in one matrix-vector
-product per (config, domain), and still performs, per coupling, time and
-domain, the same floating-point operations as building the rotors'
-ScsDirection objects and 3 x 3 rotation matrices and rotating the vector.
+domain's Bloch vector, built from the ensemble's angle tuples, by all the
+rotors of its g in one matrix-vector product per (config, domain), and still
+performs, per coupling, time and domain, the same floating-point operations
+as building ScsDirection objects, 3 x 3 rotation matrices and the rotation.
 The angles of both branch rotors come from one
 :func:`~kzring.scs.omega_angles` pass, with no Python call per point.
 """
@@ -77,9 +77,9 @@ class DiaConfig:
             raise ConfigError(f"ring needs at least 2 spins, got n={self.n}")
         if self.g < 0:
             raise ConfigError(f"coupling must be >= 0, got g={self.g}")
-        if len(self.ensemble.directions) != self.partition.n_d:
+        if len(self.ensemble.theta) != self.partition.n_d:
             raise ConfigError(
-                f"ensemble has {len(self.ensemble.directions)} directions, "
+                f"ensemble has {len(self.ensemble.theta)} directions, "
                 f"partition expects {self.partition.n_d}"
             )
         t_bar = freeze_out_time(self.schedule)
@@ -180,8 +180,8 @@ def _overlaps(configs: tuple[DiaConfig, ...], times: np.ndarray) -> np.ndarray:
     rot_minus = rotation_matrices(theta, phi_minus).reshape(shape)
     del theta, phi_plus, phi_minus  # not held through the blocked products
     n_d = first.partition.n_d
-    dirs = [d for c in configs for d in c.ensemble.directions]
-    n0 = bloch_vectors(np.array([d.theta for d in dirs]), np.array([d.phi for d in dirs]))
+    thetas = np.ravel([c.ensemble.theta for c in configs])
+    n0 = bloch_vectors(thetas, np.ravel([c.ensemble.phi for c in configs]))
     n0 = n0.reshape(len(configs), n_d, 3, 1)
     out = np.empty((len(configs), n_t))
     step = max(1, _BLOCK_POINTS // (n_t * n_d))

@@ -13,11 +13,11 @@ class CriticalPointError(ZeroDivisionError):
     """Scaling law evaluated exactly at the critical point (eps = 0)."""
 
 
-class NoFreezeOutError(ValueError):
+class NoFreezeOutError(ConfigError):
     """Freeze-out instant requested for a static field (v = 0)."""
 
 
-class PartitionError(ValueError):
+class PartitionError(ConfigError):
     """No ring divisor lies close enough to the frozen correlation length."""
 
 

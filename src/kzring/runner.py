@@ -106,9 +106,9 @@ def _load_ensemble(path: str, n_d: int) -> DomainEnsemble:
             f"ensemble file {path} is not a saved ensemble "
             f"({type(exc).__name__}: {exc})"
         ) from exc
-    if len(ensemble.directions) != n_d:
+    if len(ensemble.theta) != n_d:
         raise ConfigError(
-            f"replayed ensemble has {len(ensemble.directions)} domains, "
+            f"replayed ensemble has {len(ensemble.theta)} domains, "
             f"the partition needs {n_d}"
         )
     return ensemble

@@ -14,8 +14,10 @@ as a warning.
 
 RNG streams: a sampler call derives its generator from
 numpy.random.SeedSequence(seed, spawn_key=(realization,)), draws the n-1
-free cosines in domain order, then draws all n azimuth bits at once.  Equal
-(seed, realization) pairs therefore reproduce ensembles bit for bit.
+free uniforms u in one random(n-1) call (lo + (hi - lo)*u is exactly
+Generator.uniform(lo, hi) on the same stream), then all n azimuth bits at
+once.  Equal (seed, realization) pairs therefore reproduce ensembles bit
+for bit, as canonical theta and phi tuples (phi pinned to 0 at a pole).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -43,9 +45,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DomainEnsemble:
-    """Sampled initial directions plus everything needed to replay them."""
+    """Sampled tilts, domain d at (theta[d], phi[d]), plus what replays them."""
 
-    directions: tuple[ScsDirection, ...]
+    theta: tuple[float, ...]
+    phi: tuple[float, ...]
     seed: int
     m0z_target: float
     mdz_target: float
@@ -56,7 +59,7 @@ class DomainEnsemble:
         """Serialize as a JSON document (angles as (theta, phi) pairs)."""
         return json.dumps(
             {
-                "directions": [[d.theta, d.phi] for d in self.directions],
+                "directions": [list(pair) for pair in zip(self.theta, self.phi)],
                 "seed": self.seed,
                 "realization": self.realization,
                 "m0z_target": self.m0z_target,
@@ -69,8 +72,9 @@ class DomainEnsemble:
     @classmethod
     def from_json(cls, text: str) -> "DomainEnsemble":
         data = json.loads(text)
+        dirs = [ScsDirection(t, p) for t, p in data["directions"]]
         return cls(
-            directions=tuple(ScsDirection(t, p) for t, p in data["directions"]),
+            theta=tuple(d.theta for d in dirs), phi=tuple(d.phi for d in dirs),
             seed=int(data["seed"]),
             realization=int(data.get("realization", 0)),
             m0z_target=float(data["m0z_target"]),
@@ -111,14 +115,6 @@ def equilibrium_magnetization(h: float, n_ref: int = 14) -> float:
     return _ground_state_magnetization(float(h), int(n_ref))
 
 
-def _clip_unit(x: float) -> tuple[float, bool]:
-    if x > 1.0:
-        return 1.0, True
-    if x < -1.0:
-        return -1.0, True
-    return x, False
-
-
 def sample_initial_directions(
     n_d: int, m0z: float, mdz: float, seed: int, realization: int = 0
 ) -> DomainEnsemble:
@@ -149,18 +145,16 @@ def sample_initial_directions(
     cosines: list[float] = []
     clamped = False
     center, width = center0, width0
-    for k in range(n_d - 1):
-        draw = float(rng.uniform(center - width, center + width))
-        draw, did = _clip_unit(draw)
-        clamped = clamped or did
-        cosines.append(draw)
-        remaining = n_d - k - 1
-        center = (n_d * center0 - math.fsum(cosines)) / remaining
+    for k, u in enumerate(rng.random(n_d - 1).tolist()):
+        lo = center - width
+        draw = lo + (center + width - lo) * u
+        cosines.append(min(1.0, max(-1.0, draw)))
+        clamped = clamped or cosines[-1] != draw
+        center = (n_d * center0 - math.fsum(cosines)) / (n_d - k - 1)
         width = min(abs(upper0 - center), abs(lower0 - center))
     last = n_d * center0 - math.fsum(cosines)
-    last, did = _clip_unit(last)
-    clamped = clamped or did
-    cosines.append(last)
+    cosines.append(min(1.0, max(-1.0, last)))
+    clamped = clamped or cosines[-1] != last
     if clamped:
         warnings.warn(
             "magnetization constraint not exactly satisfiable; "
@@ -168,13 +162,11 @@ def sample_initial_directions(
             stacklevel=2,
         )
 
-    bits = rng.integers(0, 2, size=n_d)
-    directions = tuple(
-        ScsDirection(math.acos(min(1.0, max(-1.0, c))), math.pi * float(b))
-        for c, b in zip(cosines, bits)
-    )
+    theta = tuple(math.acos(c) for c in cosines)
+    bits = rng.integers(0, 2, size=n_d).tolist()
     return DomainEnsemble(
-        directions=directions,
+        theta=theta,
+        phi=tuple(0.0 if t in (0.0, math.pi) else math.pi * b for t, b in zip(theta, bits)),
         seed=int(seed),
         realization=int(realization),
         m0z_target=float(m0z),
@@ -185,4 +177,4 @@ def sample_initial_directions(
 
 def ensemble_mean_magnetization(ensemble: DomainEnsemble) -> float:
     """Per-spin z-magnetization of the ensemble, mean(cos theta)/2."""
-    return float(np.mean([math.cos(d.theta) for d in ensemble.directions])) / 2.0
+    return float(np.mean([math.cos(t) for t in ensemble.theta])) / 2.0

@@ -55,8 +55,8 @@ def dia_one_liner(ensemble, s_d, g, h_t, t):
     theta_f = (4.0 * g / h_t) * np.abs(np.sin(t * h_t / 2.0))
     phi_f = t * h_t / 2.0 + np.pi / 2.0
     out = np.ones_like(t)
-    for d in ensemble.directions:
-        tilt = 1.0 - np.sin(d.theta) ** 2 * np.sin(d.phi - phi_f) ** 2
+    for theta, phi in zip(ensemble.theta, ensemble.phi):
+        tilt = 1.0 - np.sin(theta) ** 2 * np.sin(phi - phi_f) ** 2
         out *= (1.0 - np.sin(theta_f) ** 2 * tilt) ** s_d
     return out
 
@@ -150,9 +150,9 @@ def dia_point_replay(cfg: DiaConfig, t) -> np.ndarray:
     for k, fk in enumerate(f):
         rot_plus = rotation_matrix(ScsDirection.from_omega(fk))
         rot_minus = rotation_matrix(ScsDirection.from_omega(-fk))
-        cosines = np.empty(len(cfg.ensemble.directions))
-        for i, d in enumerate(cfg.ensemble.directions):
-            n0 = d.bloch().reshape(3, 1)
+        cosines = np.empty(len(cfg.ensemble.theta))
+        for i, angles in enumerate(zip(cfg.ensemble.theta, cfg.ensemble.phi)):
+            n0 = ScsDirection(*angles).bloch().reshape(3, 1)
             a, b = rot_plus @ n0, rot_minus @ n0
             dot = (a.T @ b)[0, 0]
             cosines[i] = np.sqrt(np.clip(0.5 * (1.0 + dot), 0.0, 1.0))

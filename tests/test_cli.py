@@ -115,6 +115,16 @@ def test_invalid_physics_exits_two(tmp_path):
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize("fields", [{"v": 0}, {"n": 7}], ids=["static-field", "no-divisor"])
+def test_no_frozen_domain_picture_exits_two(tmp_path, fields):
+    cfg = write_config(tmp_path, "bad.json", **fields)
+    proc = run_cli(["dia", "--config", cfg, "--out", "out"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
 @pytest.mark.parametrize(
     "fields",
     [{"t_points": 2.5}, {"realizations": 2.0}, {"n": 120.0}, {"seed": -1}, {"n_ref": 14.5}],
@@ -136,6 +146,8 @@ def test_non_integer_count_exits_two(tmp_path, fields):
         ("dia", '{"mz_field_scale": NaN}'),
         ("para", '{"t_stop": 1e400}'),
         ("para", '{"h_para": NaN}'),
+        ("compare", '{"t_stop": 0}'),
+        ("sweep-g", '{"t_stop": 0}'),
     ],
 )
 def test_non_finite_or_non_numeric_float_exits_two(tmp_path, mode, text):

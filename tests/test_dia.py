@@ -22,9 +22,9 @@ def make_config(theta=1.0, phi=0.0, g=1.0 / 6.0, h0=1.09, t0=0.0):
     """Two domains of spin 5 on a 20-site ring, both tilted the same way."""
     schedule = QuenchSchedule(h0=h0, v=0.02)
     partition = domain_partition(20, schedule)
-    dirs = (ScsDirection(theta, phi),) * partition.n_d
     ensemble = DomainEnsemble(
-        directions=dirs, seed=0, m0z_target=math.cos(theta) / 2.0,
+        theta=(theta,) * partition.n_d, phi=(phi,) * partition.n_d,
+        seed=0, m0z_target=math.cos(theta) / 2.0,
         mdz_target=math.cos(theta) / 2.0,
     )
     return DiaConfig(
@@ -129,7 +129,7 @@ def test_field_is_frozen_at_the_sample_instant():
     f = displacement_parameter(cfg.g, h_t, t)
     rot_p = rotation_matrix(ScsDirection.from_omega(f))
     rot_m = rotation_matrix(ScsDirection.from_omega(-f))
-    n0 = cfg.ensemble.directions[0].bloch()
+    n0 = ScsDirection(cfg.ensemble.theta[0], cfg.ensemble.phi[0]).bloch()
     cos_half = math.sqrt(max(0.0, (1.0 + float((rot_p @ n0) @ (rot_m @ n0))) / 2.0))
     expected = cos_half ** (2.0 * cfg.partition.s_d * cfg.partition.n_d)
     assert concurrence(cfg, t) == pytest.approx(expected, rel=1e-12)

@@ -26,6 +26,7 @@ from kzring.sampler import (
     sample_initial_directions,
 )
 from kzring.scaling import domain_partition, field_at, freeze_out_time
+from kzring.scs import ScsDirection
 from kzring.tables import DataTable, emit_csv
 
 QUICK = dict(t_points=21)  # keep module-level runs snappy
@@ -48,6 +49,9 @@ def test_config_rejects_unknown_keys_and_bad_grids():
         ScenarioConfig(mode="nope")
     with pytest.raises(ConfigError):
         ScenarioConfig(realizations=0)
+    for t_stop in (0.5, 0.4):
+        with pytest.raises(ConfigError, match="t_stop > t_start"):
+            ScenarioConfig(t_start=0.5, t_stop=t_stop)
 
 
 @pytest.mark.parametrize(
@@ -304,6 +308,27 @@ def test_ensemble_replay_reproduces_the_trace(tmp_path):
     a = res.tables["dia"].column("concurrence")
     b = replay.tables["dia"].column("concurrence")
     assert np.array_equal(a, b)
+
+
+def test_only_a_replay_builds_scs_directions(tmp_path, monkeypatch):
+    """The sampler and the closed forms work on angle tuples; ScsDirection
+    canonicalizes replayed angles only."""
+    built = []
+    original = ScsDirection.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(ScsDirection, "__post_init__", counting)
+    run_scenario(ScenarioConfig(mode="dia", realizations=3, **QUICK))
+    run_scenario(ScenarioConfig(mode="compare", **QUICK))
+    sweep = run_scenario(ScenarioConfig(mode="sweep-g", g_sweep_points=5, **QUICK))
+    assert built == []
+    ens_path = tmp_path / "ens.json"
+    ens_path.write_text(sweep.ensembles["sweep"].to_json())
+    run_scenario(ScenarioConfig(mode="dia", ensemble_json=str(ens_path), **QUICK))
+    assert len(built) == len(sweep.ensembles["sweep"].theta)
 
 
 @pytest.mark.parametrize(

@@ -37,7 +37,7 @@ def test_mean_closure_and_containment(n_d, m0z, mdz, seed):
         return
     center = 2.0 * m0z
     width = abs(2.0 * mdz - 2.0 * m0z)
-    cosines = [math.cos(d.theta) for d in ens.directions]
+    cosines = [math.cos(theta) for theta in ens.theta]
     for c in cosines:
         assert center - width - 1e-9 <= c <= center + width + 1e-9
     assert ensemble_mean_magnetization(ens) == pytest.approx(m0z, abs=1e-9)
@@ -45,7 +45,7 @@ def test_mean_closure_and_containment(n_d, m0z, mdz, seed):
 
 def test_single_domain_is_deterministic():
     ens = sample_initial_directions(1, m0z=0.2, mdz=0.4, seed=99)
-    assert math.cos(ens.directions[0].theta) == pytest.approx(0.4)
+    assert math.cos(ens.theta[0]) == pytest.approx(0.4)
 
 
 def test_clamp_warns_and_flags():
@@ -73,20 +73,88 @@ def test_realizations_use_distinct_streams():
 def test_sampled_values_are_frozen():
     """Regression pin on the RNG stream layout (draws, then azimuth bits)."""
     ens = sample_initial_directions(3, 0.3, 0.35, seed=11)
-    thetas = [d.theta for d in ens.directions]
-    assert thetas == pytest.approx(
+    assert list(ens.theta) == pytest.approx(
         [0.8256313677824852, 0.9243103513075963, 1.0245052157295933], rel=1e-13
     )
-    assert [d.phi for d in ens.directions] == pytest.approx(
+    assert list(ens.phi) == pytest.approx(
         [math.pi, math.pi, math.pi]
     )
+
+
+# to_json() of draws pinned bit for bit: one, five and twelve domains, a
+# later realization, and clamped draws at either pole, where the azimuth
+# bit was 1 in the last two cases and is pinned to 0.
+GOLDEN_DRAWS = [
+    (
+        (1, 0.2, 0.4, 99, 0),
+        '{"clamped": false, "directions": [[1.1592794807274085, 0.0]], '
+        '"m0z_target": 0.2, "mdz_target": 0.4, "realization": 0, "seed": 99}',
+    ),
+    (
+        (5, 0.28, 0.31, 23, 2),
+        '{"clamped": false, "directions": [[1.0278669402126437, 3.141592653589793], '
+        '[0.9511895234436651, 0.0], [0.9956404416967868, 0.0], '
+        '[0.9326462694274216, 3.141592653589793], [0.9728305790356448, 3.141592653589793]], '
+        '"m0z_target": 0.28, "mdz_target": 0.31, "realization": 2, "seed": 23}',
+    ),
+    (
+        (12, 0.31, 0.35, 5, 0),
+        '{"clamped": false, "directions": [[0.9216595829331551, 0.0], '
+        '[0.848286953752155, 3.141592653589793], [0.9944907632181065, 3.141592653589793], '
+        '[0.9835763376190061, 0.0], [0.945932207067015, 3.141592653589793], '
+        '[0.8644283126118854, 0.0], [0.9319107635926083, 3.141592653589793], '
+        '[0.8905771302244072, 0.0], [0.8588610439453165, 3.141592653589793], '
+        '[0.9020972261707204, 0.0], [0.8423083032773704, 0.0], '
+        '[0.8272288379379162, 3.141592653589793]], '
+        '"m0z_target": 0.31, "mdz_target": 0.35, "realization": 0, "seed": 5}',
+    ),
+    (
+        (2, 0.49, -0.3, 0, 0),
+        '{"clamped": true, "directions": [[0.0, 0.0], [0.283794109208328, 0.0]], '
+        '"m0z_target": 0.49, "mdz_target": -0.3, "realization": 0, "seed": 0}',
+    ),
+    (
+        (2, 0.49, -0.3, 1, 0),
+        '{"clamped": true, "directions": [[0.0, 0.0], [0.283794109208328, 0.0]], '
+        '"m0z_target": 0.49, "mdz_target": -0.3, "realization": 0, "seed": 1}',
+    ),
+    (
+        (2, -0.49, 0.3, 5, 0),
+        '{"clamped": true, "directions": [[3.141592653589793, 0.0], '
+        '[2.857798544381465, 3.141592653589793]], '
+        '"m0z_target": -0.49, "mdz_target": 0.3, "realization": 0, "seed": 5}',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, text", GOLDEN_DRAWS,
+    ids=["n1", "n5-realization2", "n12", "north-pole", "north-pole-bit1", "south-pole-bit1"],
+)
+def test_draws_keep_their_bytes(args, text):
+    n_d, m0z, mdz, seed, realization = args
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ens = sample_initial_directions(n_d, m0z, mdz, seed=seed, realization=realization)
+    assert ens.to_json() == text
+    assert DomainEnsemble.from_json(text) == ens
+
+
+def test_replayed_angles_are_canonicalized():
+    text = (
+        '{"directions": [[-0.3, 7.0], [4.0, 1.0], [0.0, 2.0]], "seed": 3, '
+        '"m0z_target": 0.3, "mdz_target": 0.3}'
+    )
+    ens = DomainEnsemble.from_json(text)
+    assert ens.theta == (0.3, 2.0 * math.pi - 4.0, 0.0)
+    assert ens.phi == ((7.0 + math.pi) % (2.0 * math.pi), 1.0 + math.pi, 0.0)
 
 
 def test_azimuths_are_balanced_coin_flips():
     flips = []
     for seed in range(300):
         ens = sample_initial_directions(4, 0.2, 0.25, seed=seed)
-        flips.extend(1 if d.phi > 1.0 else 0 for d in ens.directions)
+        flips.extend(1 if phi > 1.0 else 0 for phi in ens.phi)
     n = len(flips)
     ones = sum(flips)
     # 3 sigma band of a fair binomial
