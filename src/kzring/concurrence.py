@@ -22,19 +22,16 @@ import numpy as np
 
 from . import dia as dia_mod
 from . import para as para_mod
+from .exact import DEVICE_PARITY
 from .scaling import field_at
 from .scs import ScsDirection, dicke_m_values, displacement_matrix
 
 __all__ = [
     "DeviceState",
-    "PARITY_WEIGHTS",
     "device_density_matrix",
     "wootters_concurrence",
     "closed_form_check",
 ]
-
-# Half the register sz sum over the basis |00>, |01>, |10>, |11>.
-PARITY_WEIGHTS = (1.0, 0.0, 0.0, -1.0)
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -103,51 +100,54 @@ def wootters_concurrence(rho) -> float:
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def _para_overlap_matrix(cfg: para_mod.ParaConfig, t: float) -> np.ndarray:
-    """Exact branch Gram matrix for the paramagnetic regime at time t.
+def _branch_displacements(omega: complex, s: float) -> list[np.ndarray]:
+    """Each branch's displacement by pi_gamma * omega, one per distinct weight."""
+    by_weight = {
+        pi: displacement_matrix(ScsDirection.from_omega(pi * omega), s)
+        for pi in set(DEVICE_PARITY.tolist())
+    }
+    return [by_weight[pi] for pi in DEVICE_PARITY.tolist()]
+
+
+def _para_overlap_matrices(cfg: para_mod.ParaConfig, times):
+    """Exact branch Gram matrix for the paramagnetic regime at each time.
 
     Branch ring states are products of identical spin-1/2 coherent states
     displaced by pi_gamma * l(t); overlaps come from the Dicke summation
     with full phases and are raised to the ring power N.
     """
-    ell = para_mod.displacement_parameter(cfg, t)
-    dirs = [ScsDirection.from_omega(pi * ell) for pi in PARITY_WEIGHTS]
-    vecs = [displacement_matrix(d, 0.5)[:, 0] for d in dirs]
-    gram = np.empty((4, 4), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            gram[a, b] = np.vdot(vecs[a], vecs[b]) ** cfg.n
-    return gram
+    for t in times:
+        ell = para_mod.displacement_parameter(cfg, t)
+        vecs = [d[:, 0] for d in _branch_displacements(ell, 0.5)]
+        yield np.array([[np.vdot(va, vb) ** cfg.n for vb in vecs] for va in vecs])
 
 
-def _dia_overlap_matrix(cfg: dia_mod.DiaConfig, t: float) -> np.ndarray:
-    """Exact branch Gram matrix for the frozen-domain regime at elapsed t.
+def _dia_overlap_matrices(cfg: dia_mod.DiaConfig, times):
+    """Exact branch Gram matrix for the frozen-domain regime at each elapsed t.
 
     Every domain is evolved as a (2 S_d + 1)-dimensional Dicke-space vector:
-    initial displacement, branch displacement, and the field phase
-    exp(i t h_t M) are all dense matrix operations, so composition phases
-    survive into the Gram entries (they cancel only where they must).
+    initial displacement (once per domain), branch displacement, and the
+    field phase exp(i t h_t M) are all dense matrix operations, so composition
+    phases survive into the Gram entries (they cancel only where they must).
     """
     s_d = cfg.partition.s_d
-    h_t = field_at(cfg.schedule, cfg.t0 + t)
-    f = dia_mod.displacement_parameter(cfg.g, h_t, t)
-    field_phase = np.exp(1j * t * h_t * dicke_m_values(s_d))
-    rotors = {}
-    for pi in sorted(set(PARITY_WEIGHTS)):
-        rotors[pi] = displacement_matrix(ScsDirection.from_omega(pi * f), s_d)
-    branch_vectors: list[list[np.ndarray]] = [[] for _ in range(4)]
-    for theta, phi in zip(cfg.ensemble.theta, cfg.ensemble.phi):
-        psi0 = displacement_matrix(ScsDirection(theta, phi), s_d)[:, 0]
-        for a, pi in enumerate(PARITY_WEIGHTS):
-            branch_vectors[a].append(field_phase * (rotors[pi] @ psi0))
-    gram = np.empty((4, 4), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            prod = 1.0 + 0.0j
-            for va, vb in zip(branch_vectors[a], branch_vectors[b]):
-                prod *= np.vdot(va, vb)
-            gram[a, b] = prod
-    return gram
+    initial = [
+        displacement_matrix(ScsDirection(theta, phi), s_d)[:, 0]
+        for theta, phi in zip(cfg.ensemble.theta, cfg.ensemble.phi)
+    ]
+    for t in times:
+        h_t = field_at(cfg.schedule, cfg.t0 + t)
+        f = dia_mod.displacement_parameter(cfg.g, h_t, t)
+        field_phase = np.exp(1j * t * h_t * dicke_m_values(s_d))
+        branches = [
+            [field_phase * (rotor @ psi0) for psi0 in initial]
+            for rotor in _branch_displacements(f, s_d)
+        ]
+        # the domain overlaps of each branch pair, multiplied in domain order
+        yield np.array([
+            [math.prod(map(np.vdot, a, b), start=1.0 + 0.0j) for b in branches]
+            for a in branches
+        ])
 
 
 def closed_form_check(config, times) -> float:
@@ -161,13 +161,13 @@ def closed_form_check(config, times) -> float:
     closed form is one call over the whole grid, as a one-config batch.
     """
     if isinstance(config, para_mod.ParaConfig):
-        module, gram = para_mod, _para_overlap_matrix
+        module, grams = para_mod, _para_overlap_matrices
     elif isinstance(config, dia_mod.DiaConfig):
         if config.partition.s_d > 60:
             raise ValueError(
                 "dense Dicke-space oracle is limited to collective spins <= 60"
             )
-        module, gram = dia_mod, _dia_overlap_matrix
+        module, grams = dia_mod, _dia_overlap_matrices
     else:
         raise ValueError(
             f"expected a ParaConfig or a DiaConfig, got {type(config).__name__}"
@@ -176,7 +176,7 @@ def closed_form_check(config, times) -> float:
     bell = DeviceState.bell()
     worst = 0.0
     closed_forms = module.concurrences([config], times)[0]
-    for t, closed in zip(times.tolist(), closed_forms.tolist()):
-        rho = device_density_matrix(bell, gram(config, t))
+    for closed, gram in zip(closed_forms.tolist(), grams(config, times.tolist())):
+        rho = device_density_matrix(bell, gram)
         worst = max(worst, abs(closed - wootters_concurrence(rho)))
     return worst

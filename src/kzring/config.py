@@ -100,6 +100,10 @@ class ScenarioConfig:
             )
         if self.t_points < 2:
             raise ConfigError("a trace needs at least 2 grid points")
+        if self.t_start < 0:
+            raise ConfigError(
+                f"t_start must be >= 0, the preparation instant, got {self.t_start}"
+            )
         if self.t_stop <= self.t_start:
             raise ConfigError("grid must have t_stop > t_start")
         if self.realizations < 1:

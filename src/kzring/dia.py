@@ -27,6 +27,10 @@ performs, per coupling, time and domain, the same floating-point operations
 as building ScsDirection objects, 3 x 3 rotation matrices and the rotation.
 The angles of both branch rotors come from one
 :func:`~kzring.scs.omega_angles` pass, with no Python call per point.
+
+The picture holds only inside the frozen window after freeze-out, and
+:func:`concurrences` is the one place that checks it: once per batch, on
+the elapsed times it is given.
 """
 
 from __future__ import annotations
@@ -45,10 +49,9 @@ __all__ = [
     "V_SPAN_MAX",
     "displacement_parameter",
     "concurrences",
-    "validate_trace_span",
 ]
 
-# Largest field drift v * span a trace may cover and still count as frozen.
+# Largest field drift v * t a trace may cover and still count as frozen.
 V_SPAN_MAX = 0.05
 
 
@@ -59,9 +62,9 @@ class DiaConfig:
     The ring is the partition's domains, n = xi_d * n_d spins.  t0 is
     absolute on the quench clock and must not precede the freeze-out
     instant; evolution times passed to :func:`concurrences` are elapsed
-    times since t0.  Weak-coupling guards mirror the paramagnetic ones and
-    are checked at t0 here and over a whole trace span by
-    :func:`validate_trace_span`.
+    times since t0.  The field-independent guards are checked here; the
+    frozen window, which depends on the field and so on the times
+    evaluated, is checked by :func:`concurrences`.
     """
 
     g: float
@@ -87,19 +90,9 @@ class DiaConfig:
             raise ConfigError(
                 f"preparation time t0={self.t0} precedes freeze-out t_bar={t_bar}"
             )
-        h_start = field_at(self.schedule, self.t0)
-        if h_start < self.schedule.hc - 1e-12:
-            raise ConfigError(
-                f"field {h_start} at t0 already below the critical value "
-                f"{self.schedule.hc}"
-            )
         if self.g > self.g_max:
             raise ConfigError(
                 f"weak-coupling guard: g={self.g} exceeds g_max={self.g_max}"
-            )
-        if self.g > self.g_to_h_max * h_start:
-            raise ConfigError(
-                f"detuning guard: g={self.g} exceeds {self.g_to_h_max} * h(t0)"
             )
 
     @property
@@ -108,31 +101,37 @@ class DiaConfig:
         return self.partition.xi_d * self.partition.n_d
 
 
-def validate_trace_span(cfg: DiaConfig, span: float) -> None:
-    """Check that a trace of the given elapsed length stays in the frozen window.
+def _check_frozen_window(configs: tuple[DiaConfig, ...], times: np.ndarray) -> None:
+    """Check that the elapsed times keep every config in the frozen window.
 
-    The domain picture needs an essentially static field (v * span small)
-    that has not yet crossed the critical value, and weak coupling relative
-    to the field throughout.
+    The domain picture needs elapsed times t >= 0, an essentially static
+    field (v * t small) that has not yet crossed the critical value, and
+    weak coupling relative to the field throughout.  The field falls with
+    t (v >= 0), so each holds at every t once it holds at the latest one,
+    t0 itself for an empty grid.
     """
-    if span < 0:
-        raise ConfigError(f"trace span must be >= 0, got {span}")
-    drift = cfg.schedule.v * span
+    bad = times[~(np.isfinite(times) & (times >= 0))]
+    if bad.size:
+        raise ConfigError(f"elapsed times must be finite and >= 0, got t={bad[0]}")
+    first = configs[0]
+    t_max = float(times.max()) if times.size else 0.0
+    drift = first.schedule.v * t_max
     if drift > V_SPAN_MAX + 1e-15:
         raise ConfigError(
             f"field drifts by {drift} over the trace, above the "
             f"frozen-window bound {V_SPAN_MAX}"
         )
-    h_end = field_at(cfg.schedule, cfg.t0 + span)
-    if h_end < cfg.schedule.hc - 1e-12:
+    h_end = field_at(first.schedule, first.t0 + t_max)
+    if h_end < first.schedule.hc - 1e-12:
         raise ConfigError(
             f"field {h_end} at the end of the trace is below the critical "
-            f"value {cfg.schedule.hc}"
+            f"value {first.schedule.hc}"
         )
-    if cfg.g > cfg.g_to_h_max * h_end:
-        raise ConfigError(
-            f"detuning guard: g={cfg.g} exceeds {cfg.g_to_h_max} * h at trace end"
-        )
+    for c in configs:
+        if c.g > c.g_to_h_max * h_end:
+            raise ConfigError(
+                f"detuning guard: g={c.g} exceeds {c.g_to_h_max} * h at trace end"
+            )
 
 
 def displacement_parameter(g: float, h_t, t):
@@ -162,6 +161,8 @@ def _overlaps(configs: tuple[DiaConfig, ...], times: np.ndarray) -> np.ndarray:
     The time factors are computed once and the rotors once per distinct g,
     shared by every ensemble run at that g.
     """
+    if not times.size:
+        return np.empty((len(configs),) + times.shape)
     first = configs[0]
     flat = times.reshape(-1)
     n_t = len(flat)
@@ -209,7 +210,9 @@ def concurrences(configs, t) -> np.ndarray:
     for the whole batch; row k equals the one-config batch
     ``concurrences([configs[k]], t)[0]`` bit for bit.  A scalar t gives one
     value per config.  The configs may differ only in g and ensemble,
-    otherwise ValueError.
+    otherwise ValueError.  Times that leave the frozen window of any config
+    are a ConfigError naming the first failing guard (and, for the detuning
+    guard, the first failing g in batch order).
     """
     configs = tuple(configs)
     shared = {(c.schedule, c.t0, c.partition, c.g_max, c.g_to_h_max) for c in configs}
@@ -217,4 +220,6 @@ def concurrences(configs, t) -> np.ndarray:
         raise ValueError(
             "a batch needs one or more configs that differ only in g and ensemble"
         )
-    return _overlaps(configs, np.asarray(t, dtype=float))
+    times = np.asarray(t, dtype=float)
+    _check_frozen_window(configs, times)
+    return _overlaps(configs, times)

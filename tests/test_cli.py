@@ -125,6 +125,30 @@ def test_no_frozen_domain_picture_exits_two(tmp_path, fields):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
+# The fig4 fast quench (h(t0) = 1.09, v = 0.02): a trace from t = 2.5 to 5
+# ends below the critical field, and one from 2.0 to 4.4 drifts by
+# v * t = 0.088, past the 0.05 frozen-window bound, though its span is 2.4.
+FAST_QUENCH = {"v": 0.02, "h0": 1.09, "t0_offset": 0.5}
+OUTSIDE_THE_WINDOW = {
+    "late-start": dict(FAST_QUENCH, t_start=2.5, t_stop=5.0, t_points=6),
+    "drift-only": dict(FAST_QUENCH, t_start=2.0, t_stop=4.4, t_points=6),
+    "negative-start": dict(FAST_QUENCH, t_start=-1.0, t_points=5),
+}
+
+
+@pytest.mark.parametrize("mode", ["dia", "compare", "sweep-g"])
+@pytest.mark.parametrize("case", sorted(OUTSIDE_THE_WINDOW))
+def test_trace_outside_the_frozen_window_exits_two(tmp_path, case, mode):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(OUTSIDE_THE_WINDOW[case]))
+    proc = run_cli([mode, "--config", str(path), "--out", "out"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
 @pytest.mark.parametrize(
     "fields",
     [{"t_points": 2.5}, {"realizations": 2.0}, {"n": 120.0}, {"seed": -1}, {"n_ref": 14.5}],
@@ -148,6 +172,7 @@ def test_non_integer_count_exits_two(tmp_path, fields):
         ("para", '{"h_para": NaN}'),
         ("compare", '{"t_stop": 0}'),
         ("sweep-g", '{"t_stop": 0}'),
+        ("para", '{"t_start": -1.0}'),
     ],
 )
 def test_non_finite_or_non_numeric_float_exits_two(tmp_path, mode, text):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kzring import concurrence as concurrence_mod
 from kzring.concurrence import (
     DeviceState,
     closed_form_check,
@@ -102,6 +103,25 @@ def test_closed_form_check_para_small():
 def test_closed_form_check_dia_small():
     dev = closed_form_check(reference_dia_config(), np.linspace(0.0, 1.0, 40))
     assert dev < 1e-10
+
+
+@pytest.mark.parametrize(
+    "config, times, builds",
+    [
+        # 2 domains once, then 3 distinct parity weights per time
+        (reference_dia_config(), np.linspace(0.0, 1.0, 200), 2 + 3 * 200),
+        (ParaConfig(n=6, g=0.04, h=2.0), np.linspace(0.0, math.pi, 40), 3 * 40),
+    ],
+    ids=["dia", "para"],
+)
+def test_the_oracles_build_each_dicke_state_once(monkeypatch, config, times, builds):
+    calls = []
+    build = concurrence_mod.displacement_matrix
+    monkeypatch.setattr(
+        concurrence_mod, "displacement_matrix", lambda *a: calls.append(a) or build(*a)
+    )
+    closed_form_check(config, times)
+    assert len(calls) == builds
 
 
 def test_closed_form_check_rejects_unknown_setting():

@@ -1,5 +1,6 @@
 """Frozen-domain closed form: per-domain rotations and concurrence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from kzring.dia import (
     DiaConfig,
     concurrences,
     displacement_parameter,
-    validate_trace_span,
 )
 from kzring.errors import ConfigError
 from kzring.sampler import DomainEnsemble, sample_initial_directions
@@ -59,16 +59,41 @@ def test_config_rejects_strong_coupling():
         make_config(g=0.5)
 
 
-def test_trace_span_guards():
+def test_frozen_window_guards_the_times_evaluated():
     cfg = make_config()
-    validate_trace_span(cfg, 1.0)
+    concurrences([cfg], 1.0)
+    with pytest.raises(ConfigError, match=">= 0"):
+        concurrences([cfg], -1.0)
     with pytest.raises(ConfigError):
-        validate_trace_span(cfg, -1.0)
-    with pytest.raises(ConfigError):
-        validate_trace_span(cfg, 10.0)  # field would cross criticality
-    validate_trace_span(cfg, V_SPAN_MAX / cfg.schedule.v)  # drift at the bound
-    with pytest.raises(ConfigError):
-        validate_trace_span(cfg, 1.01 * V_SPAN_MAX / cfg.schedule.v)
+        concurrences([cfg], 10.0)  # field would cross criticality
+    concurrences([cfg], V_SPAN_MAX / cfg.schedule.v)  # drift at the bound
+    with pytest.raises(ConfigError, match="frozen-window bound"):
+        concurrences([cfg], 1.01 * V_SPAN_MAX / cfg.schedule.v)
+    # the latest time decides, wherever it sits in the grid
+    with pytest.raises(ConfigError, match="frozen-window bound"):
+        concurrences([cfg], [[0.5, 3.0], [0.0, 0.1]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_elapsed_times_are_rejected(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        concurrences([make_config()], [0.0, bad, 0.5])
+
+
+def test_field_below_critical_at_t0_is_rejected_even_for_an_empty_grid():
+    cfg = make_config(t0=5.0)  # h(t0) = 1.09 - 0.02 * 5 = 0.99 < hc
+    with pytest.raises(ConfigError, match="below the critical value"):
+        concurrences([cfg], [])
+    assert concurrences([make_config()], []).shape == (1, 0)
+
+
+def test_detuning_guard_names_the_first_failing_coupling():
+    base = dataclasses.replace(make_config(), g_max=0.3)
+    batch = [dataclasses.replace(base, g=g) for g in (0.1, 0.29, 0.28)]
+    concurrences(batch[:1], 1.0)
+    # h(t0 + 1) = 1.07, so the guard admits g <= 0.2675
+    with pytest.raises(ConfigError, match=r"detuning guard: g=0\.29 "):
+        concurrences(batch, 1.0)
 
 
 def test_displacement_modulus_closed_form():

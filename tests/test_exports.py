@@ -35,6 +35,16 @@ def test_the_closed_forms_export_one_entry_point():
         assert not {"concurrence", "branch_overlap"} & set(exported)
 
 
+def test_the_frozen_window_and_the_parity_weights_have_one_home():
+    import kzring.concurrence
+    import kzring.dia
+    import kzring.exact
+
+    assert not hasattr(kzring.dia, "validate_trace_span")
+    assert not hasattr(kzring.concurrence, "PARITY_WEIGHTS")
+    assert kzring.concurrence.DEVICE_PARITY is kzring.exact.DEVICE_PARITY
+
+
 def kzring_imports(module: str) -> set[str]:
     """The kzring modules (or package names) a source file imports, read statically."""
     path = Path(kzring.__file__).parent / f"{module}.py"

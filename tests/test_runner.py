@@ -52,6 +52,8 @@ def test_config_rejects_unknown_keys_and_bad_grids():
     for t_stop in (0.5, 0.4):
         with pytest.raises(ConfigError, match="t_stop > t_start"):
             ScenarioConfig(t_start=0.5, t_stop=t_stop)
+    with pytest.raises(ConfigError, match="t_start must be >= 0"):
+        ScenarioConfig(t_start=-1.0)
 
 
 @pytest.mark.parametrize(
@@ -211,6 +213,17 @@ def test_default_sweep_respects_its_own_guards():
     run_scenario(cfg)
     with pytest.raises(ConfigError):
         ScenarioConfig(mode="sweep-g", g_sweep_max=0.4)
+
+
+def test_sweep_detuning_guard_names_the_first_failing_coupling():
+    # h stays near 1.01 over the default trace, so g_to_h_max = 0.25 admits
+    # g up to about 0.252: every coupling of this sweep fails the guard
+    cfg = ScenarioConfig(
+        mode="sweep-g", g_sweep_min=0.26, g_sweep_max=0.3, g_max=0.3,
+        g_sweep_points=3, t_points=3,
+    )
+    with pytest.raises(ConfigError, match=r"detuning guard: g=0\.26 .* at trace end"):
+        run_scenario(cfg)
 
 
 def test_sweep_rejects_multiple_realizations():
