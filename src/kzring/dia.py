@@ -26,7 +26,13 @@ rotors of its g in one matrix-vector product per (config, domain), and still
 performs, per coupling, time and domain, the same floating-point operations
 as building ScsDirection objects, 3 x 3 rotation matrices and the rotation.
 The angles of both branch rotors come from one
-:func:`~kzring.scs.omega_angles` pass, with no Python call per point.
+:func:`~kzring.scs.omega_angles` pass and their trigonometry of theta from
+one :func:`~kzring.scs.rotation_matrices` call, with no Python call per
+point.  A batch of more than ``_workers.BLOCK_POINTS`` (config, time,
+domain) points, that is one spanning more than one block of the kernel, is
+split along the configs into two halves, run at once on the calling thread
+and the worker thread; each row is computed alike in either, so the bytes do
+not depend on the number of CPUs.
 
 The picture holds only inside the frozen window after freeze-out, and
 :func:`concurrences` is the one place that checks it: once per batch, on
@@ -39,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _workers
 from .errors import ConfigError
 from .sampler import DomainEnsemble
 from .scaling import DomainPartition, QuenchSchedule, field_at, freeze_out_time
@@ -147,13 +154,6 @@ def displacement_parameter(g: float, h_t, t):
     return (g / h_t) * ((np.cos(th) - 1.0) + 1j * np.sin(th))
 
 
-# Largest (config, time, domain) block whose rotated Bloch vectors are held
-# at once: the batch is worked through in blocks of configs, each block one
-# matrix-vector product per (config, domain), so a batch costs no more
-# memory than a few configs.
-_BLOCK_POINTS = 1 << 15
-
-
 def _overlaps(configs: tuple[DiaConfig, ...], times: np.ndarray) -> np.ndarray:
     """prod_d cos^(2 S_d)(Theta_d/2) of each config at each time, shape
     (configs,) + times.shape.
@@ -177,15 +177,17 @@ def _overlaps(configs: tuple[DiaConfig, ...], times: np.ndarray) -> np.ndarray:
     # would not: its kernels round differently.
     shape = (len(g), 1, 3 * n_t, 3)
     theta, phi_plus, phi_minus = omega_angles(f)
-    rot_plus = rotation_matrices(theta, phi_plus).reshape(shape)
-    rot_minus = rotation_matrices(theta, phi_minus).reshape(shape)
+    rotors = rotation_matrices(theta, np.stack([phi_plus, phi_minus]))
+    rot_plus, rot_minus = rotors.reshape((2,) + shape)
     del theta, phi_plus, phi_minus  # not held through the blocked products
     n_d = first.partition.n_d
     thetas = np.ravel([c.ensemble.theta for c in configs])
     n0 = bloch_vectors(thetas, np.ravel([c.ensemble.phi for c in configs]))
     n0 = n0.reshape(len(configs), n_d, 3, 1)
     out = np.empty((len(configs), n_t))
-    step = max(1, _BLOCK_POINTS // (n_t * n_d))
+    # blocks of configs, each one matrix-vector product per (config, domain),
+    # so a batch costs no more memory than a few configs
+    step = max(1, _workers.BLOCK_POINTS // (n_t * n_d))
     for start in range(0, len(configs), step):
         block = slice(start, start + step)
         plus = (rot_plus[row[block]] @ n0[block]).reshape(-1, n_d, n_t, 1, 3)
@@ -207,7 +209,7 @@ def concurrences(configs, t) -> np.ndarray:
     the modulus of the ring overlap between the two branches, which is never
     negative.  Swapping the branch labels leaves it unchanged (the two
     branch states trade places, conjugating the overlap).  One kernel call
-    for the whole batch; row k equals the one-config batch
+    per batch, or per half of a large one; row k equals the one-config batch
     ``concurrences([configs[k]], t)[0]`` bit for bit.  A scalar t gives one
     value per config.  The configs may differ only in g and ensemble,
     otherwise ValueError.  Times that leave the frozen window of any config
@@ -222,4 +224,6 @@ def concurrences(configs, t) -> np.ndarray:
         )
     times = np.asarray(t, dtype=float)
     _check_frozen_window(configs, times)
-    return _overlaps(configs, times)
+    points = len(configs) * times.size * configs[0].partition.n_d
+    halves = _workers.in_halves(lambda half: _overlaps(half, times), configs, points)
+    return np.concatenate(halves)

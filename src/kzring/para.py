@@ -23,7 +23,11 @@ two ScsDirection objects, dotting their Bloch vectors and raising the
 half-angle cosine to N with Python's float ** int.  It makes no
 Python call per point: the branch phases come from one
 :func:`~kzring.scs.omega_angles` pass and the power from ``np.float_power``,
-both the libm routines the scalar route calls.
+both the libm routines the scalar route calls.  A batch of more than
+``_workers.BLOCK_POINTS`` (config, time) points is split along the configs
+into two halves, run at once on the calling thread and the worker thread;
+each row is computed alike in either, so the bytes do not depend on the
+number of CPUs.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _workers
 from .errors import ConfigError
 from .scs import bloch_vectors, omega_angles
 
@@ -97,8 +102,7 @@ def _overlaps(configs: tuple[ParaConfig, ...], times: np.ndarray) -> np.ndarray:
     g = np.array([c.g for c in configs])[:, None]
     ell = _displacements(g, first.h, times.reshape(-1)).reshape(-1)
     theta, phi_plus, phi_minus = omega_angles(ell)
-    plus = bloch_vectors(theta, phi_plus)
-    minus = bloch_vectors(theta, phi_minus)
+    plus, minus = bloch_vectors(theta, np.stack([phi_plus, phi_minus]))
     dot = (plus[:, None, :] @ minus[:, :, None])[:, 0, 0]
     cos_half = np.sqrt(np.clip(0.5 * (1.0 + dot), 0.0, 1.0))
     # libm pow, as Python's float ** int calls it; np.power can differ from
@@ -112,12 +116,16 @@ def concurrences(configs, t) -> np.ndarray:
 
     For the Bell state the concurrence is the modulus of the ring-state
     overlap between the two branches, cos^N(Theta/2), which is never
-    negative.  One kernel call for the whole batch; row k equals the
-    one-config batch ``concurrences([configs[k]], t)[0]`` bit for bit.  A
-    scalar t gives one value per config.  The configs may differ only in g,
+    negative.  One kernel call per batch, or per half of a large one; row k
+    equals the one-config batch ``concurrences([configs[k]], t)[0]`` bit for
+    bit.  A scalar t gives one value per config.  The configs may differ only in g,
     otherwise ValueError.
     """
     configs = tuple(configs)
     if len({(c.n, c.h, c.g_max, c.g_to_h_max) for c in configs}) != 1:
         raise ValueError("a batch needs one or more configs that differ only in g")
-    return _overlaps(configs, np.asarray(t, dtype=float))
+    times = np.asarray(t, dtype=float)
+    halves = _workers.in_halves(
+        lambda half: _overlaps(half, times), configs, len(configs) * times.size
+    )
+    return np.concatenate(halves)

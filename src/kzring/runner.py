@@ -2,7 +2,8 @@
 
 run_scenario turns a ScenarioConfig into column tables; write_outputs
 writes them as deterministic CSV (same config, seed and BLAS thread count,
-same bytes), with any sampled ensembles and a gnuplot script.
+same bytes, whatever the number of CPUs kzring's worker thread may use),
+with any sampled ensembles and a gnuplot script.
 
 Magnetization lookup: the sampler's exact-diagonalization oracle acts on
 the spin-1/2 ring, whose true critical field sits at 1/2, while the quench

@@ -137,20 +137,23 @@ def omega_angles(omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # The stacks below are filled in place, so every row and matrix is
 # C-contiguous and matmul takes the same BLAS kernels for a stack as for one
-# element.
+# element.  A leading axis of phi gives one stack per row of phi, all
+# sharing one pass of the trigonometry of theta.
 def bloch_vectors(theta, phi) -> np.ndarray:
-    """Unit vectors (sin t cos p, sin t sin p, cos t) of 1-D canonical angle
-    arrays, shape (n, 3)."""
+    """Unit vectors (sin t cos p, sin t sin p, cos t) of a 1-D canonical theta
+    and a phi of shape (..., n), shape (..., n, 3)."""
+    phi = np.asarray(phi)
     st = np.sin(theta)
-    out = np.empty((len(theta), 3))
-    out[:, 0] = st * np.cos(phi)
-    out[:, 1] = st * np.sin(phi)
-    out[:, 2] = np.cos(theta)
+    out = np.empty(phi.shape + (3,))
+    out[..., 0] = st * np.cos(phi)
+    out[..., 1] = st * np.sin(phi)
+    out[..., 2] = np.cos(theta)
     return out
 
 
 def rotation_matrices(theta, phi) -> np.ndarray:
-    """SO(3) displacement matrices of 1-D canonical angle arrays, shape (n, 3, 3).
+    """SO(3) displacement matrices of a 1-D canonical theta and a phi of shape
+    (..., n), shape (..., n, 3, 3).
 
     Each is the displacement exp(Omega S- - conj(Omega) S+) acting on Bloch
     vectors: the Rodrigues rotation by theta about the in-plane axis
@@ -161,15 +164,15 @@ def rotation_matrices(theta, phi) -> np.ndarray:
     """
     c, s = np.cos(theta), np.sin(theta)
     a, b = np.cos(phi), np.sin(phi)
-    out = np.empty((len(theta), 3, 3))
-    out[:, 0, 0] = c * a * a + b * b
-    out[:, 0, 1] = out[:, 1, 0] = -a * b * (1.0 - c)
-    out[:, 0, 2] = s * a
-    out[:, 1, 1] = c * b * b + a * a
-    out[:, 1, 2] = s * b
-    out[:, 2, 0] = -s * a
-    out[:, 2, 1] = -s * b
-    out[:, 2, 2] = c
+    out = np.empty(a.shape + (3, 3))
+    out[..., 0, 0] = c * a * a + b * b
+    out[..., 0, 1] = out[..., 1, 0] = -a * b * (1.0 - c)
+    out[..., 0, 2] = s * a
+    out[..., 1, 1] = c * b * b + a * a
+    out[..., 1, 2] = s * b
+    out[..., 2, 0] = -s * a
+    out[..., 2, 1] = -s * b
+    out[..., 2, 2] = c
     return out
 
 

@@ -8,7 +8,11 @@ cell is exactly the text of `'%.12g' % v`.
 A table of float columns is formatted a block of rows at a time with numpy:
 each cell is laid into a fixed slot of bytes together with a mask of the
 bytes it keeps, and the kept bytes of a block, in order, are its CSV lines.
-A table with a string column is written row by row.
+A table longer than one block is cut into half-size blocks, formatted two at
+a time on the calling thread and the worker thread (kzring._workers) and
+written in order; a block's bytes do not depend on the thread that formats
+it or on where the blocks are cut.  A table with a string column is written
+row by row.
 
 Exact path, for ±0 and every normal double with |v| < 1e10: with
 X = floor(log10|v|) and k = 11 − X (1 <= k <= 319), y = |v|·10^k lies in
@@ -41,10 +45,13 @@ import functools
 
 import numpy as np
 
+from . import _workers
+
 __all__ = ["BLOCK_ROWS", "DataTable", "csv_lines", "emit_csv"]
 
 # Rows formatted per numpy pass: small enough that a block's temporaries
-# stay in cache, large enough that the per-pass overhead is amortized.
+# stay in cache, large enough that the per-pass overhead is amortized.  Two
+# workers hold two blocks of half this size.
 BLOCK_ROWS = 4096
 
 # Slot of one numeric cell, 5 words of 8 bytes:
@@ -220,12 +227,19 @@ def _block(columns: list) -> bytes:
 def csv_lines(columns: list):
     """Yield the CSV lines of the given float columns, a block of rows at a time.
 
-    Each cell is written as `'%.12g' % v`.  Lines end in LF.
+    Each cell is written as `'%.12g' % v`.  Lines end in LF.  A table of up
+    to BLOCK_ROWS rows is one block, formatted on the calling thread; a
+    longer one is cut into blocks of BLOCK_ROWS // 2 rows, formatted on the
+    workers two at a time and yielded in order.
     """
-    if not columns:
+    rows = len(columns[0]) if columns else 0
+    if rows <= BLOCK_ROWS:
+        if rows:
+            yield _block(columns)
         return
-    for start in range(0, len(columns[0]), BLOCK_ROWS):
-        yield _block([c[start : start + BLOCK_ROWS] for c in columns])
+    size = BLOCK_ROWS // 2
+    blocks = ([c[start : start + size] for c in columns] for start in range(0, rows, size))
+    yield from _workers.ordered_map(_block, blocks)
 
 
 def _column(cells):

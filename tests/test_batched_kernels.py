@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kzring import dia, para
+from kzring import _workers, dia, para
 from kzring.dia import DiaConfig
 from kzring.runner import (
     ScenarioConfig,
@@ -180,6 +180,25 @@ def assert_batch_is_the_single_calls(module, configs, t):
 def test_sweep_batch_equals_the_per_coupling_calls(cfg):
     _, para_configs, dia_configs = _sweep_configs(cfg)
     assert len(dia_configs) == cfg.g_sweep_points
+    assert_batch_is_the_single_calls(para, para_configs, _time_grid(cfg))
+    assert_batch_is_the_single_calls(dia, dia_configs, _time_grid(cfg))
+
+
+# Coupling counts on the bench sweep grid (200 times, 5 domains) whose
+# batches are split in two halves, the first two with the least room: one
+# config fewer stays whole (points per config given).  201 gives halves of
+# unequal size.
+@pytest.mark.parametrize(
+    "count, per_config",
+    [(33, 200 * 5), (164, 200), (201, None)],
+    ids=["dia-just-above", "para-just-above", "odd-201"],
+)
+def test_split_batches_equal_the_per_coupling_calls(count, per_config):
+    if per_config is not None:
+        assert (count - 1) * per_config <= _workers.BLOCK_POINTS < count * per_config
+    cfg = dataclasses.replace(BENCH_SWEEP, g_sweep_points=count)
+    _, para_configs, dia_configs = _sweep_configs(cfg)
+    assert len(dia_configs) == count
     assert_batch_is_the_single_calls(para, para_configs, _time_grid(cfg))
     assert_batch_is_the_single_calls(dia, dia_configs, _time_grid(cfg))
 

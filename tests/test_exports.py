@@ -59,8 +59,12 @@ def kzring_imports(module: str) -> set[str]:
     return found
 
 
-def test_the_table_module_imports_no_other_kzring_module():
-    assert kzring_imports("tables") == set()
+def test_the_table_module_imports_only_the_worker_pool():
+    assert kzring_imports("tables") == {"_workers"}
+
+
+def test_the_worker_pool_imports_no_kzring_module():
+    assert kzring_imports("_workers") == set()
 
 
 def test_the_config_module_imports_only_errors_and_scaling():
