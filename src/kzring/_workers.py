@@ -1,19 +1,19 @@
-"""A second thread for the numpy work that releases the interpreter lock.
+"""Large work cut into blocks, the blocks shared with one worker thread.
 
 The closed-form kernels and the CSV writer spend their time in numpy
-ufuncs, BLAS products and ``np.compress``, which all release the lock, so a
-second thread runs them on a second CPU.  The work is shared by the calling
-thread and one worker thread, so at most min(2, CPUs) threads work at once:
-each thread that allocates keeps its own malloc arena, so a third would add
-memory and no speed.  The worker is started at the first call that needs it,
-and never when the process may run on one CPU only, so importing kzring,
-and any work too small to split, starts no thread.
+ufuncs, BLAS products and ``np.compress``, which all release the interpreter
+lock, so a second thread runs them on a second CPU.  The work is shared by
+the calling thread and one worker thread, so at most min(2, CPUs) threads
+work at once: each thread that allocates keeps its own malloc arena, so a
+third would add memory and no speed.  The worker is started at the first
+call that needs it, and never when the process may run on one CPU only, so
+importing kzring, and any work that fits in one block, starts no thread.
 
-Work is counted in points: (config, time, domain) triples for a kernel.  A
-batch of more than BLOCK_POINTS points is split into two halves; the dia
-kernel also works through each half in blocks of about that many points.
-Every row is computed by the same arithmetic whichever thread runs it, so
-the results do not depend on the number of CPUs.
+Work is a count of items of some points each, such as configs of (time,
+domain) points or rows of cells.  :func:`ordered_map` cuts it into blocks
+of at most BLOCK_POINTS points, which bounds a block's memory, runs them and
+hands their results back in order.  Every item is computed alike in any
+block and thread, so the results do not depend on the number of CPUs.
 
 Standard library only; no other kzring module is imported here.
 """
@@ -23,9 +23,9 @@ from __future__ import annotations
 import os
 import threading
 
-__all__ = ["BLOCK_POINTS", "in_halves", "ordered_map"]
+__all__ = ["BLOCK_POINTS", "ordered_map"]
 
-# Largest batch, in points, that one thread works through at once.
+# Most points one block holds, unless a single item holds more.
 BLOCK_POINTS = 1 << 15
 
 _lock = threading.Lock()
@@ -50,39 +50,36 @@ def _worker():
         return _executor
 
 
-def _both(fn, first, second) -> tuple:
-    """fn(first) and fn(second), the second on the worker while the calling
-    thread runs the first."""
-    worker = _worker()
-    if worker is None:
-        return fn(first), fn(second)
-    future = worker.submit(fn, second)
-    try:
-        done = fn(first)
-    finally:
-        # read the worker's result even when the first call raised
-        rest = future.result()
-    return done, rest
+def _cut(count: int, points_each: int) -> list[slice]:
+    """range(count) in the fewest near-equal blocks of at most BLOCK_POINTS
+    points, an even number of them if more than one and no block empty."""
+    per_block = max(1, BLOCK_POINTS // max(1, points_each))
+    blocks = -(-count // per_block)
+    if blocks > 1:
+        blocks = min(blocks + blocks % 2, count)
+    return [slice(k * count // blocks, (k + 1) * count // blocks) for k in range(blocks)]
 
 
-def in_halves(fn, items, points: int) -> list:
-    """[fn(items)] for a batch of up to BLOCK_POINTS points, of one item or
-    on one CPU; otherwise [fn(first half), fn(second half)], run at once."""
-    if points <= BLOCK_POINTS or len(items) < 2 or _worker() is None:
-        return [fn(items)]
-    mid = (len(items) + 1) // 2
-    return list(_both(fn, items[:mid], items[mid:]))
+def ordered_map(fn, count: int, points_each: int):
+    """Yield fn(block) for each block of range(count), in order.
 
-
-def ordered_map(fn, items):
-    """Yield fn of each item, in order.
-
-    The items are taken two at a time, the first of each pair run on the
-    calling thread and the second on the worker, so no more than two are in
-    progress at once.
+    Each block is a slice of the items, of at most BLOCK_POINTS points
+    unless it holds a single item.  Work that fits in one block runs on the
+    calling thread.  Otherwise the calling thread runs every other block,
+    and the worker, where there is one, runs the rest from its queue, so
+    neither waits for the other until a result is needed.
     """
-    items = list(items)
-    for start in range(0, len(items) - 1, 2):
-        yield from _both(fn, items[start], items[start + 1])
-    if len(items) % 2:
-        yield fn(items[-1])
+    blocks = _cut(count, points_each)
+    worker = _worker() if len(blocks) > 1 else None
+    if worker is None:
+        yield from map(fn, blocks)
+        return
+    queued = [worker.submit(fn, block) for block in blocks[1::2]]
+    try:
+        for k, block in enumerate(blocks[::2]):
+            yield fn(block)
+            if k < len(queued):
+                yield queued[k].result()
+    finally:
+        for future in queued:  # after an error or an early close, run no more
+            future.cancel()

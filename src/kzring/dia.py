@@ -19,20 +19,20 @@ domain delta.
 
 :func:`concurrences` is the closed form's one entry point: it takes a batch
 of configs that differ only in g and ensemble and a scalar elapsed time or
-an array of them, and runs one batched kernel that computes the time
-factors once and the branch rotors once per distinct g.  It rotates each
-domain's Bloch vector, built from the ensemble's angle tuples, by all the
-rotors of its g in one matrix-vector product per (config, domain), and still
-performs, per coupling, time and domain, the same floating-point operations
-as building ScsDirection objects, 3 x 3 rotation matrices and the rotation.
-The angles of both branch rotors come from one
-:func:`~kzring.scs.omega_angles` pass and their trigonometry of theta from
-one :func:`~kzring.scs.rotation_matrices` call, with no Python call per
-point.  A batch of more than ``_workers.BLOCK_POINTS`` (config, time,
-domain) points, that is one spanning more than one block of the kernel, is
-split along the configs into two halves, run at once on the calling thread
-and the worker thread; each row is computed alike in either, so the bytes do
-not depend on the number of CPUs.
+an array of them, and runs one batched kernel that computes the branch
+rotors once per distinct g.  It rotates each domain's Bloch vector, built
+from the ensemble's angle tuples, by all the rotors of its g in one
+matrix-vector product per (config, domain), and still performs, per
+coupling, time and domain, the same floating-point operations as building
+ScsDirection objects, 3 x 3 rotation matrices and the rotation.  The angles
+of both branch rotors come from one :func:`~kzring.scs.omega_angles` pass
+per block of couplings and their trigonometry of theta from one
+:func:`~kzring.scs.rotation_matrices` call, with no Python call per point.
+The distinct couplings, then the configs, are cut into blocks of (config,
+time, domain) points by :func:`kzring._workers.ordered_map`, which bounds a
+batch's memory and shares the blocks with the worker thread; each row is
+computed alike in any block, so the bytes do not depend on the number of
+CPUs.  Products below the smallest normal double are written as 0.
 
 The picture holds only inside the frozen window after freeze-out, and
 :func:`concurrences` is the one place that checks it: once per batch, on
@@ -154,51 +154,40 @@ def displacement_parameter(g: float, h_t, t):
     return (g / h_t) * ((np.cos(th) - 1.0) + 1j * np.sin(th))
 
 
-def _overlaps(configs: tuple[DiaConfig, ...], times: np.ndarray) -> np.ndarray:
-    """prod_d cos^(2 S_d)(Theta_d/2) of each config at each time, shape
-    (configs,) + times.shape.
-
-    The time factors are computed once and the rotors once per distinct g,
-    shared by every ensemble run at that g.
-    """
-    if not times.size:
-        return np.empty((len(configs),) + times.shape)
-    first = configs[0]
-    flat = times.reshape(-1)
-    n_t = len(flat)
-    g, row = np.unique([c.g for c in configs], return_inverse=True)
-    h_t = field_at(first.schedule, first.t0 + flat)
-    f = displacement_parameter(g[:, None], h_t, flat).reshape(-1)
-    # The T rotors of each g stacked row-wise, (g, 1, 3T, 3), against
-    # (config, domain, 3, 1) initial Bloch vectors: one (3T x 3) @ (3 x 1)
-    # matrix-vector product per (config, domain) rounds each row as a 3 x 3
-    # product per time does (measured; tests/test_batched_kernels.py replays
-    # the per-time products).  One (3T x 3) @ (3 x D) product per config
-    # would not: its kernels round differently.
-    shape = (len(g), 1, 3 * n_t, 3)
+def _rotors(g: np.ndarray, h_t: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The T rotors of each g, stacked row-wise per branch: (2, g, 1, 3T, 3)."""
+    f = displacement_parameter(g[:, None], h_t, times).reshape(-1)
     theta, phi_plus, phi_minus = omega_angles(f)
     rotors = rotation_matrices(theta, np.stack([phi_plus, phi_minus]))
-    rot_plus, rot_minus = rotors.reshape((2,) + shape)
-    del theta, phi_plus, phi_minus  # not held through the blocked products
+    return rotors.reshape(2, len(g), 1, 3 * len(times), 3)
+
+
+def _overlaps(configs: tuple[DiaConfig, ...], rot_plus, rot_minus) -> np.ndarray:
+    """prod_d cos^(2 S_d)(Theta_d/2) of each config at each time, shape
+    (configs, T), given each config's rotors, (configs, 1, 3T, 3) per branch.
+    """
+    first = configs[0]
     n_d = first.partition.n_d
+    n_t = rot_plus.shape[2] // 3
     thetas = np.ravel([c.ensemble.theta for c in configs])
     n0 = bloch_vectors(thetas, np.ravel([c.ensemble.phi for c in configs]))
     n0 = n0.reshape(len(configs), n_d, 3, 1)
-    out = np.empty((len(configs), n_t))
-    # blocks of configs, each one matrix-vector product per (config, domain),
-    # so a batch costs no more memory than a few configs
-    step = max(1, _workers.BLOCK_POINTS // (n_t * n_d))
-    for start in range(0, len(configs), step):
-        block = slice(start, start + step)
-        plus = (rot_plus[row[block]] @ n0[block]).reshape(-1, n_d, n_t, 1, 3)
-        minus = (rot_minus[row[block]] @ n0[block]).reshape(-1, n_d, n_t, 3, 1)
-        dot = (plus @ minus)[..., 0, 0]
-        cosines = np.sqrt(np.clip(0.5 * (1.0 + dot), 0.0, 1.0))
-        # (config, time, domain), contiguous, so the product over domains
-        # reduces each point's cosines in domain order
-        cosines = np.ascontiguousarray(np.swapaxes(cosines, 1, 2))
-        out[block] = np.prod(cosines ** (2.0 * first.partition.s_d), axis=-1)
-    return out.reshape((len(configs),) + times.shape)
+    # The stacked rotors against (config, domain, 3, 1) initial Bloch
+    # vectors: one (3T x 3) @ (3 x 1) matrix-vector product per (config,
+    # domain) rounds each row as a 3 x 3 product per time does (measured;
+    # tests/test_batched_kernels.py replays the per-time products).  One
+    # (3T x 3) @ (3 x D) product per config would not: its kernels round
+    # differently.
+    plus = (rot_plus @ n0).reshape(-1, n_d, n_t, 1, 3)
+    minus = (rot_minus @ n0).reshape(-1, n_d, n_t, 3, 1)
+    dot = (plus @ minus)[..., 0, 0]
+    cosines = np.sqrt(np.clip(0.5 * (1.0 + dot), 0.0, 1.0))
+    # (config, time, domain), contiguous, so the product over domains
+    # reduces each point's cosines in domain order
+    cosines = np.ascontiguousarray(np.swapaxes(cosines, 1, 2))
+    out = np.prod(cosines ** (2.0 * first.partition.s_d), axis=-1)
+    out[out < np.finfo(float).tiny] = 0.0  # subnormal products flush to 0
+    return out
 
 
 def concurrences(configs, t) -> np.ndarray:
@@ -209,7 +198,7 @@ def concurrences(configs, t) -> np.ndarray:
     the modulus of the ring overlap between the two branches, which is never
     negative.  Swapping the branch labels leaves it unchanged (the two
     branch states trade places, conjugating the overlap).  One kernel call
-    per batch, or per half of a large one; row k equals the one-config batch
+    per block of configs; row k equals the one-config batch
     ``concurrences([configs[k]], t)[0]`` bit for bit.  A scalar t gives one
     value per config.  The configs may differ only in g and ensemble,
     otherwise ValueError.  Times that leave the frozen window of any config
@@ -224,6 +213,18 @@ def concurrences(configs, t) -> np.ndarray:
         )
     times = np.asarray(t, dtype=float)
     _check_frozen_window(configs, times)
-    points = len(configs) * times.size * configs[0].partition.n_d
-    halves = _workers.in_halves(lambda half: _overlaps(half, times), configs, points)
-    return np.concatenate(halves)
+    first = configs[0]
+    flat = times.reshape(-1)
+    if not flat.size:
+        return np.empty((len(configs),) + times.shape)
+    # The rotors of each distinct g, shared by its ensemble runs, then each
+    # config's products; a g's rotors weigh as much as a config's products.
+    points_each = len(flat) * first.partition.n_d
+    g, row = np.unique([c.g for c in configs], return_inverse=True)
+    h_t = field_at(first.schedule, first.t0 + flat)
+    blocks = _workers.ordered_map(lambda b: _rotors(g[b], h_t, flat), len(g), points_each)
+    rotors = np.concatenate(list(blocks), axis=1)
+    blocks = _workers.ordered_map(
+        lambda b: _overlaps(configs[b], *rotors[:, row[b]]), len(configs), points_each
+    )
+    return np.concatenate(list(blocks)).reshape((len(configs),) + times.shape)

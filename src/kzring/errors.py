@@ -9,7 +9,7 @@ class ConfigError(ValueError):
     """Parameter set violates a documented guard or precondition."""
 
 
-class CriticalPointError(ZeroDivisionError):
+class CriticalPointError(ConfigError, ZeroDivisionError):
     """Scaling law evaluated exactly at the critical point (eps = 0)."""
 
 

@@ -23,11 +23,11 @@ two ScsDirection objects, dotting their Bloch vectors and raising the
 half-angle cosine to N with Python's float ** int.  It makes no
 Python call per point: the branch phases come from one
 :func:`~kzring.scs.omega_angles` pass and the power from ``np.float_power``,
-both the libm routines the scalar route calls.  A batch of more than
-``_workers.BLOCK_POINTS`` (config, time) points is split along the configs
-into two halves, run at once on the calling thread and the worker thread;
-each row is computed alike in either, so the bytes do not depend on the
-number of CPUs.
+both the libm routines the scalar route calls.  The configs are cut into
+blocks of (config, time) points by :func:`kzring._workers.ordered_map`,
+which bounds a batch's memory and shares the blocks with the worker thread;
+each row is computed alike in any block, so the bytes do not depend on the
+number of CPUs.  Powers below the smallest normal double are written as 0.
 """
 
 from __future__ import annotations
@@ -108,6 +108,7 @@ def _overlaps(configs: tuple[ParaConfig, ...], times: np.ndarray) -> np.ndarray:
     # libm pow, as Python's float ** int calls it; np.power can differ from
     # it in the last bit
     out = np.float_power(cos_half, float(first.n))
+    out[out < np.finfo(float).tiny] = 0.0  # subnormal powers flush to 0
     return out.reshape((len(configs),) + times.shape)
 
 
@@ -116,16 +117,16 @@ def concurrences(configs, t) -> np.ndarray:
 
     For the Bell state the concurrence is the modulus of the ring-state
     overlap between the two branches, cos^N(Theta/2), which is never
-    negative.  One kernel call per batch, or per half of a large one; row k
-    equals the one-config batch ``concurrences([configs[k]], t)[0]`` bit for
-    bit.  A scalar t gives one value per config.  The configs may differ only in g,
+    negative.  One kernel call per block of configs; row k equals the
+    one-config batch ``concurrences([configs[k]], t)[0]`` bit for bit.  A
+    scalar t gives one value per config.  The configs may differ only in g,
     otherwise ValueError.
     """
     configs = tuple(configs)
     if len({(c.n, c.h, c.g_max, c.g_to_h_max) for c in configs}) != 1:
         raise ValueError("a batch needs one or more configs that differ only in g")
     times = np.asarray(t, dtype=float)
-    halves = _workers.in_halves(
-        lambda half: _overlaps(half, times), configs, len(configs) * times.size
+    blocks = _workers.ordered_map(
+        lambda block: _overlaps(configs[block], times), len(configs), times.size
     )
-    return np.concatenate(halves)
+    return np.concatenate(list(blocks))

@@ -75,11 +75,6 @@ class DomainPartition:
         """Collective spin of one domain, xi_d / 2."""
         return self.xi_d / 2.0
 
-    @property
-    def j_eff(self) -> float:
-        """Effective domain-domain coupling, 2 / xi_d^2."""
-        return 2.0 / self.xi_d**2
-
 
 def field_at(schedule: QuenchSchedule, t: float) -> float:
     """Instantaneous field h(t) = h0 - v*t."""

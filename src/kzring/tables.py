@@ -8,11 +8,11 @@ cell is exactly the text of `'%.12g' % v`.
 A table of float columns is formatted a block of rows at a time with numpy:
 each cell is laid into a fixed slot of bytes together with a mask of the
 bytes it keeps, and the kept bytes of a block, in order, are its CSV lines.
-A table longer than one block is cut into half-size blocks, formatted two at
-a time on the calling thread and the worker thread (kzring._workers) and
-written in order; a block's bytes do not depend on the thread that formats
-it or on where the blocks are cut.  A table with a string column is written
-row by row.
+The rows are cut into blocks by kzring._workers, a cell weighing
+CELL_POINTS points, and the blocks are formatted on the calling thread and
+the worker thread and written in order; a block's bytes do not depend on the
+thread that formats it or on where the blocks are cut.  A table with a
+string column is written row by row.
 
 Exact path, for ±0 and every normal double with |v| < 1e10: with
 X = floor(log10|v|) and k = 11 − X (1 <= k <= 319), y = |v|·10^k lies in
@@ -35,8 +35,10 @@ value of hi + lo corrects an X misjudged by log10 and rounds N.
 
 Cells with no exact path go through Python's own per-cell formatting
 (`_per_cell`): subnormals, inf, nan, |v| >= 1e10 and the near-ties above.
-No kzring table of float columns holds any of them.  The numbers of a
-table with a string column all go through `_per_cell`.
+The closed forms write a concurrence below the smallest normal double as 0,
+so no kzring table of float columns holds any of them, unless a mean or a
+difference of concurrences near that bound falls below it.  The numbers of
+a table with a string column all go through `_per_cell`.
 """
 
 from __future__ import annotations
@@ -47,12 +49,12 @@ import numpy as np
 
 from . import _workers
 
-__all__ = ["BLOCK_ROWS", "DataTable", "csv_lines", "emit_csv"]
+__all__ = ["CELL_POINTS", "DataTable", "csv_lines", "emit_csv"]
 
-# Rows formatted per numpy pass: small enough that a block's temporaries
-# stay in cache, large enough that the per-pass overhead is amortized.  Two
-# workers hold two blocks of half this size.
-BLOCK_ROWS = 4096
+# Points of the worker cut that one cell weighs.  Formatting takes about
+# 220 bytes a cell and the dia kernel about 75 a point, so a CSV block takes
+# about 1.5 times a kernel block's memory.
+CELL_POINTS = 2
 
 # Slot of one numeric cell, 5 words of 8 bytes:
 #   0-7    "\0\0-0.000": sign, then "0." and zeros for -4 <= X < 0
@@ -227,19 +229,13 @@ def _block(columns: list) -> bytes:
 def csv_lines(columns: list):
     """Yield the CSV lines of the given float columns, a block of rows at a time.
 
-    Each cell is written as `'%.12g' % v`.  Lines end in LF.  A table of up
-    to BLOCK_ROWS rows is one block, formatted on the calling thread; a
-    longer one is cut into blocks of BLOCK_ROWS // 2 rows, formatted on the
-    workers two at a time and yielded in order.
+    Each cell is written as `'%.12g' % v`.  Lines end in LF.  The blocks are
+    those of _workers.ordered_map, each cell CELL_POINTS points.
     """
     rows = len(columns[0]) if columns else 0
-    if rows <= BLOCK_ROWS:
-        if rows:
-            yield _block(columns)
-        return
-    size = BLOCK_ROWS // 2
-    blocks = ([c[start : start + size] for c in columns] for start in range(0, rows, size))
-    yield from _workers.ordered_map(_block, blocks)
+    yield from _workers.ordered_map(
+        lambda block: _block([c[block] for c in columns]), rows, CELL_POINTS * len(columns)
+    )
 
 
 def _column(cells):

@@ -185,9 +185,9 @@ def test_sweep_batch_equals_the_per_coupling_calls(cfg):
 
 
 # Coupling counts on the bench sweep grid (200 times, 5 domains) whose
-# batches are split in two halves, the first two with the least room: one
-# config fewer stays whole (points per config given).  201 gives halves of
-# unequal size.
+# batches span more than one block, the first two with the least room: one
+# config fewer fits in one block (points per config given).  201 gives
+# blocks of unequal size.
 @pytest.mark.parametrize(
     "count, per_config",
     [(33, 200 * 5), (164, 200), (201, None)],

@@ -125,6 +125,19 @@ def test_no_frozen_domain_picture_exits_two(tmp_path, fields):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
+# A ramp so slow, or a reaction time so short, that the freeze-out instant
+# rounds onto the critical point: the correlation length diverges there.
+@pytest.mark.parametrize("command", ["dia", "sweep-g"])
+@pytest.mark.parametrize("fields", [{"v": 1e-300}, {"tau0": 1e-300}], ids=["v", "tau0"])
+def test_a_config_at_the_critical_point_exits_two(tmp_path, command, fields):
+    cfg = write_config(tmp_path, "bad.json", **fields)
+    proc = run_cli([command, "--config", cfg, "--out", "out"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: correlation length diverges at eps = 0\n"
+    assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
 # The fig4 fast quench (h(t0) = 1.09, v = 0.02): a trace from t = 2.5 to 5
 # ends below the critical field, and one from 2.0 to 4.4 drifts by
 # v * t = 0.088, past the 0.05 frozen-window bound, though its span is 2.4.

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from kzring import tables
+from kzring import _workers, tables
 from kzring.config import ScenarioConfig
 from kzring.runner import oracle_report, preset_config, run_preset, run_scenario
-from kzring.tables import BLOCK_ROWS, DataTable, emit_csv
+from kzring.tables import CELL_POINTS, DataTable, emit_csv
 
 # The benchmark's sweep: fig5 scaled to 200 couplings x 200 times.
 BENCH_SWEEP = ScenarioConfig(
@@ -67,17 +67,22 @@ def numeric_table(rows: int, seed: int) -> DataTable:
         np.linspace(0.0, 1.0, rows),
         rng.uniform(-1.0, 1.0, rows) * 10.0 ** rng.integers(-14, 14, rows),
         rng.choice(special, rows),
+        rng.uniform(0.0, 1.0, rows),
     )
-    return DataTable(("t", "value", "special"), columns, {"rows": str(rows)})
+    return DataTable(("t", "value", "special", "unit"), columns, {"rows": str(rows)})
 
 
-@pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+# Rows of numeric_table's 4 columns that fit in one block of the worker cut.
+ONE_BLOCK = _workers.BLOCK_POINTS // (CELL_POINTS * 4)
+
+
+@pytest.mark.parametrize("rows", [0, 1, ONE_BLOCK, ONE_BLOCK + 1])
 def test_row_counts_at_the_block_edges(rows, tmp_path):
     table = numeric_table(rows, seed=rows)
     assert emitted(table, tmp_path) == reference_csv(table)
 
 
-@pytest.mark.parametrize("rows", [1, BLOCK_ROWS + 1])
+@pytest.mark.parametrize("rows", [1, ONE_BLOCK + 1])
 def test_multibyte_strings_and_mixed_tuple_columns(rows, tmp_path):
     words = ["α", "", "plain", "日本語のセル", "😀 ok", "naïve-ß", "x" * 60]
     table = DataTable(

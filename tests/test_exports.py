@@ -45,6 +45,36 @@ def test_the_frozen_window_and_the_parity_weights_have_one_home():
     assert kzring.concurrence.DEVICE_PARITY is kzring.exact.DEVICE_PARITY
 
 
+# Modules and classes that start threads or processes.
+THREAD_NAMES = {
+    "threading", "_thread", "concurrent", "multiprocessing", "Thread", "ThreadPoolExecutor",
+}
+
+
+def test_the_cut_and_the_worker_thread_have_one_home():
+    from kzring import _workers
+
+    for path in Path(kzring.__file__).parent.glob("*.py"):
+        if path.stem == "_workers":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module.split(".")[0])
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+        assert not names & (THREAD_NAMES | {"BLOCK_POINTS"}), path.name
+    assert [name for name in _workers.__all__ if callable(getattr(_workers, name))] == [
+        "ordered_map"
+    ]
+    assert not hasattr(_workers, "in_halves")
+
+
 def kzring_imports(module: str) -> set[str]:
     """The kzring modules (or package names) a source file imports, read statically."""
     path = Path(kzring.__file__).parent / f"{module}.py"

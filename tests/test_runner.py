@@ -196,6 +196,25 @@ def test_three_realizations_are_three_single_runs(tmp_path):
     assert np.array_equal(table.column("concurrence_max"), by_time.max(axis=1))
 
 
+# A para ring of 2e5 spins at h = 2, and the fig4 fast quench on a ring of
+# 3e4 spins: both traces fall through the subnormal doubles, below 2.2e-308.
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ScenarioConfig(mode="para", n=200000, g=0.05, h_para=2.0, t_points=2001, t_stop=3.0),
+        ScenarioConfig(mode="dia", n=30000, v=2e-2, h0=1.09, t0_offset=0.5, t_points=201),
+    ],
+    ids=["para", "dia"],
+)
+def test_no_written_concurrence_is_subnormal(cfg, tmp_path):
+    write_outputs(run_scenario(cfg), "tiny", cfg.mode, str(tmp_path))
+    _, names, columns = read_csv(tmp_path / f"tiny_{cfg.mode}.csv")
+    concurrence = columns[names.index("concurrence")]
+    assert (concurrence == 0).any()
+    for name, column in zip(names, columns):
+        assert not ((column != 0) & (np.abs(column) < np.finfo(float).tiny)).any(), name
+
+
 def test_replay_conflicts_with_multiple_realizations(tmp_path):
     res = run_scenario(ScenarioConfig(mode="dia", **QUICK))
     ens_path = tmp_path / "ens.json"

@@ -39,47 +39,101 @@ def run_child(script, cwd, *args, **env_vars):
     return proc.stdout.splitlines()[-1]
 
 
+def cut(count, points_each):
+    """The blocks the mapping primitive hands its function, as slices."""
+    return list(_workers.ordered_map(lambda block: block, count, points_each))
+
+
+# (items, points per item): empty work, one block, one item above the bound,
+# blocks of one item, and the kernel and CSV batches of the benchmark.
+CUTS = [
+    (0, 5), (1, 1), (3, _workers.BLOCK_POINTS // 3), (1, 10 * _workers.BLOCK_POINTS),
+    (5, _workers.BLOCK_POINTS // 2 + 1), (33, 200 * 5), (164, 200), (201, 200),
+    (200, 200 * 5), (100, 201 * 12), (40000, 10), (7, 1),
+]
+
+
+@pytest.mark.parametrize("count, points_each", CUTS)
+def test_every_block_holds_at_most_the_block_points_unless_it_holds_one_item(count, points_each):
+    for block in cut(count, points_each):
+        items = block.stop - block.start
+        assert items >= 1
+        assert items == 1 or items * points_each <= _workers.BLOCK_POINTS
+
+
+@pytest.mark.parametrize("count, points_each", CUTS)
+def test_the_block_count_is_even_when_above_one(count, points_each):
+    blocks = cut(count, points_each)
+    # an odd count only where every block holds one item
+    assert len(blocks) <= 1 or len(blocks) % 2 == 0 or len(blocks) == count
+    assert len(blocks) == (count > 0) or count * points_each > _workers.BLOCK_POINTS
+
+
+@pytest.mark.parametrize("count, points_each", CUTS)
+def test_the_blocks_concatenate_back_to_the_input(count, points_each):
+    items = list(range(count))
+    blocks = [items[block] for block in cut(count, points_each)]
+    assert [k for block in blocks for k in block] == items
+    # near-equal blocks
+    assert max(map(len, blocks), default=0) - min(map(len, blocks), default=0) <= 1
+
+
 def test_a_small_batch_stays_on_the_calling_thread():
     seen = []
-    halves = _workers.in_halves(
-        lambda items: seen.append(threading.current_thread()) or sum(items),
-        [1, 2, 3], _workers.BLOCK_POINTS,
+    blocks = _workers.ordered_map(
+        lambda block: seen.append(threading.current_thread()) or sum(range(3)[block]),
+        3, _workers.BLOCK_POINTS // 3,
     )
-    assert halves == [6]
+    assert list(blocks) == [3]
     assert seen == [threading.current_thread()]
 
 
 @needs_two_cpus
-def test_a_large_batch_runs_its_second_half_on_the_worker():
-    seen = {}
-    halves = _workers.in_halves(
-        lambda items: seen.setdefault(items[0], threading.current_thread()) and list(items),
-        [1, 2, 3, 4, 5], _workers.BLOCK_POINTS + 1,
+def test_a_large_batch_runs_every_second_block_on_the_worker():
+    seen = []
+    blocks = _workers.ordered_map(
+        lambda block: seen.append((block.start, threading.current_thread())) or block.start,
+        8, _workers.BLOCK_POINTS // 2,
     )
-    assert halves == [[1, 2, 3], [4, 5]]
-    assert seen[1] is threading.current_thread()
-    assert seen[4] is not threading.current_thread()
+    assert list(blocks) == [0, 2, 4, 6]
+    caller = threading.current_thread()
+    assert [start for start, thread in seen if thread is caller] == [0, 4]
+    assert sorted(start for start, thread in seen if thread is not caller) == [2, 6]
 
 
 def test_a_one_item_batch_is_never_split():
-    assert _workers.in_halves(len, ["a"], 10 * _workers.BLOCK_POINTS) == [1]
+    assert cut(1, 10 * _workers.BLOCK_POINTS) == [slice(0, 1)]
 
 
-def test_a_failing_half_raises_on_the_caller():
-    def fail_on_second(items):
-        if items[0] == 2:
-            raise ValueError("second half")
-        return items
+@pytest.mark.parametrize("failing", [0, 1], ids=["caller", "worker"])
+def test_a_failing_block_raises_on_the_caller(failing):
+    def fail(block):
+        if block.start == failing:
+            raise ValueError(f"block {failing}")
+        return block.start
 
-    with pytest.raises(ValueError, match="second half"):
-        _workers.in_halves(fail_on_second, [1, 2], _workers.BLOCK_POINTS + 1)
+    with pytest.raises(ValueError, match=f"block {failing}"):
+        list(_workers.ordered_map(fail, 4, _workers.BLOCK_POINTS))
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 9])
 def test_the_ordered_map_keeps_the_order(count):
-    assert list(_workers.ordered_map(lambda k: k * k, range(count))) == [
-        k * k for k in range(count)
-    ]
+    squares = _workers.ordered_map(
+        lambda block: [k * k for k in range(count)[block]], count, _workers.BLOCK_POINTS // 2
+    )
+    assert [k for block in squares for k in block] == [k * k for k in range(count)]
+
+
+ONE_BLOCK = """
+import json, threading
+from kzring import _workers
+out = list(_workers.ordered_map(lambda block: block.stop, 4, _workers.BLOCK_POINTS // 4))
+print(json.dumps([out, threading.active_count(), _workers._executor is None]))
+"""
+
+
+def test_work_that_fits_in_one_block_starts_no_thread(tmp_path):
+    assert json.loads(run_child(ONE_BLOCK, tmp_path)) == [[4], 1, True]
 
 
 # The benchmark's sweep (fig5 scaled to 200 couplings x 200 times) and its
