@@ -115,6 +115,25 @@ def equilibrium_magnetization(h: float, n_ref: int = 14) -> float:
     return _ground_state_magnetization(float(h), int(n_ref))
 
 
+def _grow(partials: list[float], x: float) -> None:
+    """Add x to partials, nonoverlapping floats whose exact sum is the total.
+
+    The two-sum expansion behind math.fsum (Shewchuk, Discrete Comput. Geom.
+    18, 305 (1997)), so math.fsum(partials) is the correctly rounded total.
+    """
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
 def sample_initial_directions(
     n_d: int, m0z: float, mdz: float, seed: int, realization: int = 0
 ) -> DomainEnsemble:
@@ -143,6 +162,7 @@ def sample_initial_directions(
     upper0 = center0 + width0
 
     cosines: list[float] = []
+    partials: list[float] = []  # the sum of cosines, exactly
     clamped = False
     center, width = center0, width0
     for k, u in enumerate(rng.random(n_d - 1).tolist()):
@@ -150,9 +170,10 @@ def sample_initial_directions(
         draw = lo + (center + width - lo) * u
         cosines.append(min(1.0, max(-1.0, draw)))
         clamped = clamped or cosines[-1] != draw
-        center = (n_d * center0 - math.fsum(cosines)) / (n_d - k - 1)
+        _grow(partials, cosines[-1])
+        center = (n_d * center0 - math.fsum(partials)) / (n_d - k - 1)
         width = min(abs(upper0 - center), abs(lower0 - center))
-    last = n_d * center0 - math.fsum(cosines)
+    last = n_d * center0 - math.fsum(partials)
     cosines.append(min(1.0, max(-1.0, last)))
     clamped = clamped or cosines[-1] != last
     if clamped:

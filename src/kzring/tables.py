@@ -14,27 +14,20 @@ the worker thread and written in order; a block's bytes do not depend on the
 thread that formats it or on where the blocks are cut.  A table with a
 string column is written row by row.
 
-Exact path, for ±0 and every normal double with |v| < 1e10: with
-X = floor(log10|v|) and k = 11 − X (1 <= k <= 319), y = |v|·10^k lies in
+Vector path, for ±0 and every normal double with |v| < 1e10: with
+X = floor(log10|v|) and k = 11 − X (1 <= k <= 319), Y = |v|·10^k lies in
 [1e11, 1e12) and its nearest integer N carries the 12 significant digits.
-With a = |v|·2^64 (exact) and Q = 10^k·2^-64 held as the double-double
-Q_hi + Q_lo, Dekker's two-product (Numer. Math. 18, 224 (1971)) gives
-a·Q_hi exactly as p + e; numpy rounds each operation once and fuses none.
-hi + lo is p + fl(e + fl(a·Q_lo)), renormalised by a fast two-sum.  The
-value of hi + lo corrects an X misjudged by log10 and rounds N.
+It takes y = (|v|·2^64)·q[k] with q[k] = fl(10^k·2^-64), once more with
+X ± 1 where log10 misjudged X and y falls outside [1e11, 1e12).
 
-- k <= 22: 10^k is a double, Q_lo = 0 and hi + lo == y exactly, so ties
-  round half to even.
-- k >= 23: with u = 2^-53, Q_hi and Q_lo leave a·|Q − Q_hi − Q_lo| <= u²y,
-  fl(a·Q_lo) is off by <= u²(1 + u)y, and since |e| <= u·p the sum
-  fl(e + ...) is off by <= 2u²(1 + u)²y.  So |hi + lo − y| <=
-  (4 + 5u + 2u²)u²y < 2^-103·y < 2^-63, as y < 1e12 < 2^40.  y is never a
-  tie: y = M·5^k·2^j with M odd, and a half-integer needs j >= −1, so
-  y >= 5^23/2 > 1e12.  hi + lo therefore rounds as y does unless hi sits
-  exactly on m + 1/2 and |lo| <= 2^-63.
+- Bound: q[k] is off by at most u = 2^-53 relative and the product rounds once
+  more, so |y − Y| < 2u·Y < 2u·1e12 ≈ 2.22e-4.
+- Rule: N = rint(y), except that exact ties and every y within
+  _NEAR_TIE = 2.5e-4 of a tie m + 1/2 go per-cell.
 
-Cells with no exact path go through Python's own per-cell formatting
-(`_per_cell`): subnormals, inf, nan, |v| >= 1e10 and the near-ties above.
+The other cells go through Python's own per-cell formatting (`_per_cell`):
+subnormals, inf, nan, |v| >= 1e10 and the cells in the tie band, about
+2·_NEAR_TIE = 5e-4 of cells with random digits.
 The closed forms write a concurrence below the smallest normal double as 0,
 so no kzring table of float columns holds any of them, unless a mean or a
 difference of concurrences near that bound falls below it.  The numbers of
@@ -62,34 +55,16 @@ CELL_POINTS = 2
 #   32-39  "e-XX" or "e-XXX", pad bytes, then the separator
 SLOT = 40
 _HEAD = np.frombuffer(b"\0\0-0.000", dtype=np.uint64)[0]
-_SPLITTER = 134217729.0  # 2**27 + 1
 _X_MIN = -308  # exponent of the smallest normal double
-# Largest k: 10^k·2^-64·_SPLITTER stays finite for k = 319, not for 320.
+# Largest k, for the smallest normal double; 10^k overflows from k = 309 on,
+# 10^k·2^-64 stays finite.
 _K_MAX = 11 - _X_MIN
-_NEAR_TIE = 2.0**-63  # bound on |hi + lo − y| for k >= 23
+# Half-width of the band around a tie that goes per-cell: above the
+# error bound 2u·1e12 ≈ 2.22e-4 of y.
+_NEAR_TIE = 2.5e-4
 # Kinds of layout in the keep table: scientific notation with a 2- or
 # 3-digit exponent, then fixed notation for each X in [-4, 10].
 _KINDS = 2 + 15
-
-
-def _two_product(a, b):
-    """hi, lo with hi + lo == a·b exactly (Dekker, without FMA)."""
-    p = a * b
-    c = _SPLITTER * a
-    ah = c - (c - a)
-    al = a - ah
-    c = _SPLITTER * b
-    bh = c - (c - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _scaled(a, k, q_hi, q_lo):
-    """hi, lo with hi + lo ≈ a·10^k·2^-64 (exactly for k <= 22), |lo| <= ulp(hi)/2."""
-    p, e = _two_product(a, q_hi[k])
-    s = e + a * q_lo[k]
-    hi = p + s
-    return hi, s - (hi - p)
 
 
 def _words(byte_rows: np.ndarray) -> np.ndarray:
@@ -107,8 +82,8 @@ def _lookup_tables():
     keep[(neg·17 + kind)·12 + nsig − 1]: the kept bytes of a cell with
     that sign, kind and count of significant digits, as `%g` lays it out:
     fixed notation for -4 <= X < 12, else d.ddde-XX.
-    q_hi[k] + q_lo[k]: 10^k·2^-64 for 0 <= k <= 319, q_hi correctly
-    rounded (Python's int division is) and q_lo the rounded remainder.
+    q[k]: 10^k·2^-64 for 0 <= k <= 319, correctly rounded (Python's int
+    division is).
     """
     g = np.arange(10000, dtype=np.uint16)
     quad = np.full((g.size, 8), ord("."), dtype=np.uint8)
@@ -140,20 +115,12 @@ def _lookup_tables():
     keep[:, 36] = kinds == 1
     keep[:, SLOT - 1] = True
 
-    q_hi, q_lo = [], []
-    for k in range(_K_MAX + 1):
-        hi = 10**k / 2**64
-        num, den = hi.as_integer_ratio()
-        q_hi.append(hi)
-        q_lo.append((10**k * den - num * 2**64) / (den * 2**64))
-    return (
-        _words(quad)[:, 0], zeros, exponent, kind, _words(keep.view(np.uint8)),
-        np.array(q_hi), np.array(q_lo),
-    )
+    q = np.array([10**k / 2**64 for k in range(_K_MAX + 1)])
+    return _words(quad)[:, 0], zeros, exponent, kind, _words(keep.view(np.uint8)), q
 
 
 def _per_cell(values: np.ndarray) -> list[bytes]:
-    """`'%.12g' % v` of each value, for the cells with no exact path."""
+    """`'%.12g' % v` of each value, for the cells off the vector path."""
     return [("%.12g" % f).encode() for f in values.tolist()]
 
 
@@ -165,21 +132,16 @@ def _number_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a[other] = 1.0
     x = np.floor(np.log10(a)).astype(np.intp)
     a *= 2.0**64
-    quad, zeros, exponent, kind, keep_rows, q_hi, q_lo = _lookup_tables()
-    hi, lo = _scaled(a, 11 - x, q_hi, q_lo)
-    low = (hi < 1e11) | ((hi == 1e11) & (lo < 0))
-    high = (hi > 1e12) | ((hi == 1e12) & (lo >= 0))
+    quad, zeros, exponent, kind, keep_rows, q = _lookup_tables()
+    y = a * q[11 - x]
+    low = y < 1e11
+    high = y >= 1e12
     fix = np.flatnonzero(low | high)
     if fix.size:
         x[fix] += high[fix].astype(np.intp) - low[fix]
-        hi[fix], lo[fix] = _scaled(a[fix], 11 - x[fix], q_hi, q_lo)
-    # |lo| <= ulp(hi)/2, so lo matters only when hi sits exactly halfway;
-    # otherwise round half to even on hi.
-    n = np.rint(hi)
-    tie = np.flatnonzero(np.abs(hi - n) == 0.5)
-    hi_t, lo_t = hi[tie], lo[tie]
-    n[tie] = np.where(lo_t != 0, np.floor(hi_t) + (lo_t > 0), n[tie])
-    near = tie[(np.abs(lo_t) <= _NEAR_TIE) & (x[tie] < -11)]  # k >= 23
+        y[fix] = a[fix] * q[11 - x[fix]]
+    n = np.rint(y)
+    near = np.flatnonzero(np.abs(y - n) > 0.5 - _NEAR_TIE)
     zero = other[v[other] == 0]
     n[zero] = 0
     carry = n == 1e12

@@ -115,17 +115,31 @@ def test_powers_of_ten_and_their_neighbours():
     assert mismatches(np.concatenate([values, -values]))[:5] == []
 
 
+def exact_y(v: float) -> Fraction:
+    """|v|·10^k exactly, k = 11 − X with X the true decimal exponent of v."""
+    f = abs(Fraction(v))
+    x = int(np.floor(np.log10(abs(v))))
+    x += (f >= Fraction(10) ** (x + 1)) - (f < Fraction(10) ** x)
+    return f * Fraction(10) ** (11 - x)
+
+
+# The bound on |y − |v|·10^k| in kzring.tables: u = 2^-53 for q[k] and
+# u for the product, 2u·1e12 ≈ 2.22e-4 for y < 1e12.
+U = Fraction(1, 2**53)
+BOUND = 2 * U * 10**12
+
+
 def test_scaled_product_stays_within_the_stated_bound():
-    # hi + lo against the exact |v|·10^k: off by at most 2^-103·y for every
-    # k, and exactly equal where 10^k is a double (k <= 22).
+    # y = (|v|·2^64)·q[k] against the exact |v|·10^k for every k from 1 to 319.
     rng = np.random.default_rng(5)
-    v = np.concatenate([10.0 ** rng.uniform(-308, 10, 4000), [SMALLEST_NORMAL, 9.999999999999e9]])
+    x = np.repeat(np.arange(-308, 11), 12)
+    v = np.concatenate([10.0 ** (x + rng.uniform(0, 1, x.size)), [SMALLEST_NORMAL, 9.999999999999e9]])
     k = 11 - np.floor(np.log10(v)).astype(np.intp)
-    hi, lo = tables._scaled(v * 2.0**64, k, *tables._lookup_tables()[-2:])
-    for vi, ki, h, l in zip(v.tolist(), k.tolist(), hi.tolist(), lo.tolist()):
-        y = Fraction(vi) * Fraction(10) ** ki
-        error = abs(Fraction(h) + Fraction(l) - y)
-        assert error <= y / 2**103 and (ki > 22 or error == 0), (vi, ki)
+    assert set(k.tolist()) == set(range(1, 320))
+    y = v * 2.0**64 * tables._lookup_tables()[-1][k]
+    for vi, ki, yi in zip(v.tolist(), k.tolist(), y.tolist()):
+        exact = Fraction(vi) * Fraction(10) ** ki
+        assert abs(Fraction(yi) - exact) <= 2 * U * exact, (vi, ki)
 
 
 @pytest.mark.parametrize(
@@ -154,14 +168,14 @@ def count_per_cell(monkeypatch) -> list[float]:
 
 def test_only_cells_without_an_exact_path_go_one_at_a_time(monkeypatch):
     seen = count_per_cell(monkeypatch)
-    # 1234567890.125 and 2^-18 are exact ties, settled on the exact path.
+    # 1234567890.125 and 2^-18 are exact ties, which go per-cell.
     slow = [
         LARGEST_SUBNORMAL, -5e-324, np.inf, -np.inf, np.nan, 1e10, -3.5e15, 1e300,
-        -1e200, 123456789012.5,
+        -1e200, 123456789012.5, 1234567890.125, 2.0**-18,
     ]
     fast = [
         0.0, -0.0, SMALLEST_NORMAL, -1e-300, 9.9999999999995e9, 0.5, -1e-11, 1.25e-100,
-        1234567890.125, 2.0**-18,
+        1.5, -2.5e-7, 123.456, -9.87654321e-5,
     ]
     column = np.ravel(np.column_stack([fast, slow]))
     assert mismatches(column) == []
@@ -169,15 +183,19 @@ def test_only_cells_without_an_exact_path_go_one_at_a_time(monkeypatch):
 
 
 def test_ties_within_the_error_bound_go_one_at_a_time(monkeypatch):
-    # No double is known to land within 2^-63 of a halfway point, so the
-    # bound is widened: every cell below 1e-11 whose hi then sits exactly
-    # on m + 1/2 must take the per-cell path, and still read the same.
-    monkeypatch.setattr(tables, "_NEAR_TIE", 1.0)
+    # The doubles nearest to halfway points below 1e-11 lie within u·y of
+    # the tie, so all fall in the band, and some of their neighbours do:
+    # every cell closer to a tie than the band less the bound goes per-cell,
+    # every per-cell one lies within the band plus the bound, and all read
+    # the same.
     seen = count_per_cell(monkeypatch)
-    values = np.array(nearest_halfway(range(-60, -11), 40, seed=23))
+    values = with_neighbours(nearest_halfway(range(-60, -11), 40, seed=23)).tolist()
     assert mismatches(values) == []
-    assert 0 < len(seen) < values.size
-    assert max(map(abs, seen)) < 1e-11
+    band = Fraction(tables._NEAR_TIE)
+    off_tie = {v: abs(exact_y(v) % 1 - Fraction(1, 2)) for v in values}
+    assert {v for v, d in off_tie.items() if d < band - BOUND} <= set(seen)
+    assert 0 < len(seen) < len(values)
+    assert all(off_tie[v] < band + BOUND for v in seen)
 
 
 def test_importing_the_cli_builds_no_formatter_tables():

@@ -46,8 +46,10 @@ def test_preset_and_oracle_tables_match_the_template_writer(name, tmp_path):
 @pytest.mark.parametrize(
     "cfg", [BENCH_SWEEP, preset_config("fig5")[0]], ids=["bench-sweep", "fig5"]
 )
-def test_sweep_tables_format_no_cell_one_at_a_time(cfg, monkeypatch, tmp_path):
-    # Zero times and concurrences far below 1e-10 all lie on the exact path.
+def test_sweep_tables_format_few_cells_one_at_a_time(cfg, monkeypatch, tmp_path):
+    # Zero times and concurrences far below 1e-10 lie on the vector path;
+    # only cells in the tie band go per-cell, about 5e-4 of random digits.
+    # The bound, 2e-3 of cells or 4 times that rate, was set before measuring.
     seen = []
     per_cell = tables._per_cell
     monkeypatch.setattr(
@@ -55,7 +57,7 @@ def test_sweep_tables_format_no_cell_one_at_a_time(cfg, monkeypatch, tmp_path):
     )
     table = run_scenario(cfg).tables["sweep"]
     assert emitted(table, tmp_path) == reference_csv(table)
-    assert seen == []
+    assert len(seen) <= 2e-3 * sum(len(c) for c in table.data)
     assert (np.concatenate(table.data) == 0).any()
     assert (np.abs(np.concatenate(table.data[2:4])) < 1e-10).any()
 

@@ -140,6 +140,40 @@ def test_draws_keep_their_bytes(args, text):
     assert DomainEnsemble.from_json(text) == ens
 
 
+def prefix_fsum_draw(n_d, m0z, mdz, seed, realization=0):
+    """(cosines, azimuth bits, clamped), recentred on math.fsum of each prefix."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(realization,)))
+    center0, width0 = 2.0 * m0z, abs(2.0 * mdz - 2.0 * m0z)
+    lower0, upper0 = center0 - width0, center0 + width0
+    center, width = center0, width0
+    cosines, clamped = [], False
+    for k, u in enumerate(rng.random(n_d - 1).tolist()):
+        lo = center - width
+        draw = lo + (center + width - lo) * u
+        cosines.append(min(1.0, max(-1.0, draw)))
+        clamped = clamped or cosines[-1] != draw
+        center = (n_d * center0 - math.fsum(cosines)) / (n_d - k - 1)
+        width = min(abs(upper0 - center), abs(lower0 - center))
+    last = n_d * center0 - math.fsum(cosines)
+    cosines.append(min(1.0, max(-1.0, last)))
+    return cosines, rng.integers(0, 2, size=n_d).tolist(), clamped or cosines[-1] != last
+
+
+@pytest.mark.parametrize("m0z, mdz, seed", [(0.3594, 0.3632, 7), (0.49, -0.3, 12345)])
+def test_large_draw_matches_a_prefix_fsum_reference(m0z, mdz, seed):
+    # The sampler keeps the running sum as an exact expansion; recentring on
+    # math.fsum of the whole prefix at every step must give the same bytes.
+    cosines, bits, clamped = prefix_fsum_draw(2500, m0z, mdz, seed, realization=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ens = sample_initial_directions(2500, m0z, mdz, seed=seed, realization=3)
+    assert ens.clamped == clamped == (mdz < 0)
+    assert ens.theta == tuple(math.acos(c) for c in cosines)
+    assert ens.phi == tuple(
+        0.0 if t in (0.0, math.pi) else math.pi * b for t, b in zip(ens.theta, bits)
+    )
+
+
 def test_replayed_angles_are_canonicalized():
     text = (
         '{"directions": [[-0.3, 7.0], [4.0, 1.0], [0.0, 2.0]], "seed": 3, '
