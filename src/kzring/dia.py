@@ -30,9 +30,9 @@ per block of couplings and their trigonometry of theta from one
 :func:`~kzring.scs.rotation_matrices` call, with no Python call per point.
 The distinct couplings, then the configs, are cut into blocks of (config,
 time, domain) points by :func:`kzring._workers.ordered_map`, which bounds a
-batch's memory and shares the blocks with the worker thread; each row is
-computed alike in any block, so the bytes do not depend on the number of
-CPUs.  Products below the smallest normal double are written as 0.
+batch's memory and shares the blocks with the worker thread; the rotor
+blocks fill one array in place.  Each row is computed alike in any block,
+so the bytes do not depend on the number of CPUs.  Products below the smallest normal double are written as 0.
 
 The picture holds only inside the frozen window after freeze-out, and
 :func:`concurrences` is the one place that checks it: once per batch, on
@@ -154,12 +154,10 @@ def displacement_parameter(g: float, h_t, t):
     return (g / h_t) * ((np.cos(th) - 1.0) + 1j * np.sin(th))
 
 
-def _rotors(g: np.ndarray, h_t: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The T rotors of each g, stacked row-wise per branch: (2, g, 1, 3T, 3)."""
-    f = displacement_parameter(g[:, None], h_t, times).reshape(-1)
-    theta, phi_plus, phi_minus = omega_angles(f)
-    rotors = rotation_matrices(theta, np.stack([phi_plus, phi_minus]))
-    return rotors.reshape(2, len(g), 1, 3 * len(times), 3)
+def _rotors(g: np.ndarray, h_t: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
+    """Fill out, shape (2, g, T, 3, 3), with the rotor of each g and time per branch."""
+    theta, phi_plus, phi_minus = omega_angles(displacement_parameter(g[:, None], h_t, times))
+    rotation_matrices(theta, np.stack([phi_plus, phi_minus]), out)
 
 
 def _overlaps(configs: tuple[DiaConfig, ...], rot_plus, rot_minus) -> np.ndarray:
@@ -222,8 +220,10 @@ def concurrences(configs, t) -> np.ndarray:
     points_each = len(flat) * first.partition.n_d
     g, row = np.unique([c.g for c in configs], return_inverse=True)
     h_t = field_at(first.schedule, first.t0 + flat)
-    blocks = _workers.ordered_map(lambda b: _rotors(g[b], h_t, flat), len(g), points_each)
-    rotors = np.concatenate(list(blocks), axis=1)
+    rotors = np.empty((2, len(g), len(flat), 3, 3))
+    for _ in _workers.ordered_map(lambda b: _rotors(g[b], h_t, flat, rotors[:, b]), len(g), points_each):
+        pass  # each block fills its own rows
+    rotors = rotors.reshape(2, len(g), 1, 3 * len(flat), 3)  # T rotors stacked row-wise
     blocks = _workers.ordered_map(
         lambda b: _overlaps(configs[b], *rotors[:, row[b]]), len(configs), points_each
     )

@@ -15,15 +15,18 @@ pi = (+1, 0, 0, -1):
 
 Everything here is assembled from that block structure; matrices are real
 in the computational basis.  Intended for N up to 12 as an oracle, not for
-production-size rings.  scipy is imported by the functions that use it, at
-their first call, so importing this module loads numpy alone.
+production-size rings.  The ring Hamiltonian, which also serves the
+magnetization lookup at up to 16 sites, is built at each call straight into
+canonical CSR from one table of bit flips, laid out as scipy's sparse
+algebra lays it out, and nothing is cached.  scipy is imported by the
+functions that use it, at their first call, so importing this module loads
+numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -110,63 +113,56 @@ def magnetization_diagonal(n: int) -> np.ndarray:
     return 0.5 * (n - 2 * _bit_count(n)).astype(float)
 
 
-def _bond_entries(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of - sum_i sx_i sx_(i+1) on the periodic ring (each -1/4)."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    masks = [(1 << i) | (1 << ((i + 1) % n)) for i in range(n)]
-    return np.tile(idx, n), np.concatenate([idx ^ mask for mask in masks])
+def _flip_operator(n: int, masks, off: float, diag) -> tuple[np.ndarray, ...]:
+    """Canonical CSR arrays (data, indices, indptr) of the operator that
+    takes basis index i to i ^ mask with weight `off`, for each mask, and to
+    itself with weight diag[i].
 
-
-@lru_cache(maxsize=1)
-def _bond_matrix(n: int) -> sp.csr_matrix:
-    """- sum_i sx_i sx_(i+1) on the periodic ring (entries -1/4, bit pairs flipped).
-
-    Field-independent, so the last ring size's matrix is kept and shared by
-    every Hamiltonian built at that size (one run looks up several fields at
-    one size); callers must not modify it.  It stays resident: 2.7 MiB of
-    arrays at n = 14.
+    One field-independent flip table, each row the index and its flips
+    sorted as int32: the layout scipy's sparse algebra gives, so a matvec
+    sums every row in the same order.  Zero entries are left out.
     """
-    import scipy.sparse as sp
+    idx = np.arange(1 << n, dtype=np.int32)
+    cols = idx[:, None] ^ np.array([0, *masks], dtype=np.int32)
+    cols.sort(axis=1)
+    vals = np.where(cols == idx[:, None], np.expand_dims(diag, -1), off)
+    keep = vals != 0
+    indptr = np.zeros((1 << n) + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return vals[keep], cols[keep], indptr
 
-    dim = 1 << n
-    rows, cols = _bond_entries(n)
-    vals = np.full(rows.shape, -0.25)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+def _ring_arrays(n: int, h: float) -> tuple[np.ndarray, ...]:
+    """CSR arrays of - sum_i sx_i sx_(i+1) - h sum_i sz_i (bonds -1/4 each)."""
+    if not (2 <= n <= MAX_RING_SITES):
+        raise ConfigError(f"ring size must satisfy 2 <= n <= {MAX_RING_SITES}")
+    # the 2-site ring's two bonds flip the same pair, so they sum
+    off = -0.5 if n == 2 else -0.25
+    masks = {(1 << i) | (1 << ((i + 1) % n)) for i in range(n)}
+    return _flip_operator(n, masks, off, 0.0 - h * magnetization_diagonal(n))  # as scipy forms it
 
 
 def _transverse_matrix(n: int) -> sp.csr_matrix:
     """sum_i sx_i (entries +1/2, single bit flipped)."""
     import scipy.sparse as sp
 
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
-    rows, cols = [], []
-    for i in range(n):
-        rows.append(idx)
-        cols.append(idx ^ (1 << i))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.full(rows.shape, 0.5)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    arrays = _flip_operator(n, [1 << i for i in range(n)], 0.5, 0.0)
+    return sp.csr_matrix(arrays, shape=(1 << n, 1 << n))
 
 
 def ring_hamiltonian(n: int, h: float) -> sp.csr_matrix:
     """Sparse ring Hamiltonian - sum sx sx - h sum sz on n periodic sites."""
-    if not (2 <= n <= MAX_RING_SITES):
-        raise ConfigError(f"ring size must satisfy 2 <= n <= {MAX_RING_SITES}")
+    arrays = _ring_arrays(n, h)
     import scipy.sparse as sp
 
-    return (_bond_matrix(n) - h * sp.diags(magnetization_diagonal(n))).tocsr()
+    return sp.csr_matrix(arrays, shape=(1 << n, 1 << n))
 
 
 def ring_hamiltonian_dense(n: int, h: float) -> np.ndarray:
     """ring_hamiltonian(n, h).toarray() bit for bit, built with numpy alone."""
-    if not (2 <= n <= MAX_RING_SITES):
-        raise ConfigError(f"ring size must satisfy 2 <= n <= {MAX_RING_SITES}")
-    dim = 1 << n
-    ham = np.zeros((dim, dim))
-    np.add.at(ham, _bond_entries(n), -0.25)
-    ham[np.diag_indices(dim)] -= h * magnetization_diagonal(n)
+    data, indices, indptr = _ring_arrays(n, h)
+    ham = np.zeros((1 << n, 1 << n))
+    ham[np.repeat(np.arange(1 << n), np.diff(indptr)), indices] = data
     return ham
 
 

@@ -412,8 +412,8 @@ def write_outputs(result: ScenarioResult, label: str, mode: str, out_dir: str) -
         written.append(path)
     for key, ensemble in result.ensembles.items():
         path = os.path.join(out_dir, f"{label}_{key}_ensemble.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(ensemble.to_json() + "\n")
+        with open(path, "wb") as fh:
+            fh.write((ensemble.to_json() + "\n").encode("utf-8"))
         written.append(path)
     if mode != "oracle-check":
         path = os.path.join(out_dir, f"{label}.gp")

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .exact import magnetization_diagonal, ring_hamiltonian, ring_hamiltonian_dense
+from .exact import MAX_RING_SITES, magnetization_diagonal, ring_hamiltonian, ring_hamiltonian_dense
 from .scs import ScsDirection
 
 __all__ = [
@@ -108,8 +108,8 @@ def equilibrium_magnetization(h: float, n_ref: int = 14) -> float:
     """
     if isinstance(n_ref, bool) or not isinstance(n_ref, numbers.Integral):
         raise ConfigError(f"reference ring size must be an integer, got {n_ref!r}")
-    if not (2 <= n_ref <= 16):
-        raise ConfigError(f"reference ring size must be in [2, 16], got {n_ref}")
+    if not (2 <= n_ref <= MAX_RING_SITES):
+        raise ConfigError(f"reference ring size must be in [2, {MAX_RING_SITES}], got {n_ref}")
     if not math.isfinite(h) or h < 0:
         raise ConfigError(f"field must be finite and >= 0, got h={h}")
     return _ground_state_magnetization(float(h), int(n_ref))

@@ -101,7 +101,7 @@ def rotation_matrix(d: ScsDirection) -> np.ndarray:
 
 def omega_angles(omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical (theta, phi_plus, phi_minus) of the directions of +Omega and
-    -Omega, for a 1-D array of displacement parameters.
+    -Omega, for an array of displacement parameters, each of its shape.
 
     Elementwise the same arithmetic, in the same order, as
     ``ScsDirection.from_omega(+-Omega)``: theta = 2|Omega| folded into
@@ -151,9 +151,10 @@ def bloch_vectors(theta, phi) -> np.ndarray:
     return out
 
 
-def rotation_matrices(theta, phi) -> np.ndarray:
-    """SO(3) displacement matrices of a 1-D canonical theta and a phi of shape
-    (..., n), shape (..., n, 3, 3).
+def rotation_matrices(theta, phi, out=None) -> np.ndarray:
+    """SO(3) displacement matrices of a canonical theta and a phi of shape
+    (...,) + theta.shape, shape phi.shape + (3, 3), written into `out` when
+    it is given.
 
     Each is the displacement exp(Omega S- - conj(Omega) S+) acting on Bloch
     vectors: the Rodrigues rotation by theta about the in-plane axis
@@ -164,7 +165,7 @@ def rotation_matrices(theta, phi) -> np.ndarray:
     """
     c, s = np.cos(theta), np.sin(theta)
     a, b = np.cos(phi), np.sin(phi)
-    out = np.empty(a.shape + (3, 3))
+    out = np.empty(a.shape + (3, 3)) if out is None else out
     out[..., 0, 0] = c * a * a + b * b
     out[..., 0, 1] = out[..., 1, 0] = -a * b * (1.0 - c)
     out[..., 0, 2] = s * a

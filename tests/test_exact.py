@@ -37,21 +37,45 @@ def test_hamiltonian_is_hermitian():
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
-def test_ring_hamiltonians_share_one_unchanged_bond_matrix():
-    fresh = exact._bond_matrix.__wrapped__
-    for h in (0.0, 0.5, 0.545, 1.3):
-        built = ring_hamiltonian(10, h)
-        ref = (fresh(10) - h * sp.diags(magnetization_diagonal(10))).tocsr()
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(built, part), getattr(ref, part))
-    cached = exact._bond_matrix(10)
-    assert cached is exact._bond_matrix(10)
-    assert (cached != fresh(10)).nnz == 0
+def _coo_flips(n, masks, value):
+    """scipy's COO -> CSR build of value * sum over masks of the bit flips."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    rows = np.tile(idx, len(masks))
+    cols = np.concatenate([idx ^ mask for mask in masks])
+    return sp.csr_matrix((np.full(rows.shape, value), (rows, cols)), shape=(1 << n, 1 << n))
+
+
+def _same_csr(built, ref):
+    assert built.has_canonical_format
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(built, part), getattr(ref, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+
+# h = 0 leaves out every diagonal entry, 1e-310 makes them subnormal
+FIELDS = (0.0, 0.3, 0.5005, 0.545, 1.0, 2.5, 1e-310, 50.0)
+
+
+def test_ring_hamiltonian_is_the_sparse_algebra_build_byte_for_byte():
+    # The matvec sums each row in stored order, so eigsh keeps every m_z
+    # bit only if indptr, indices and data are laid out exactly as the
+    # bond matrix minus h * diags(m_z) lays them out.  n = 2 sums its two
+    # coinciding bonds.
+    for n in range(2, 15):
+        bond = _coo_flips(n, [(1 << i) | (1 << ((i + 1) % n)) for i in range(n)], -0.25)
+        for h in FIELDS:
+            ref = (bond - h * sp.diags(magnetization_diagonal(n))).tocsr()
+            _same_csr(ring_hamiltonian(n, h), ref)
+
+
+def test_transverse_matrix_is_the_coo_build_byte_for_byte():
+    for n in range(2, 13):
+        _same_csr(exact._transverse_matrix(n), _coo_flips(n, [1 << i for i in range(n)], 0.5))
 
 
 def test_dense_ring_hamiltonian_is_the_sparse_one_bit_for_bit():
     for n in (2, 3, 6, 10):
-        for h in (0.0, 0.3, 1.01, 50.0):
+        for h in (*FIELDS, 1.01):
             dense = exact.ring_hamiltonian_dense(n, h)
             assert dense.tobytes() == ring_hamiltonian(n, h).toarray().tobytes()
     with pytest.raises(ValueError):

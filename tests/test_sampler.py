@@ -1,7 +1,9 @@
 """Domain-ensemble sampling and the equilibrium magnetization oracle."""
 
+import gc
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kzring.errors import ConfigError
+from kzring.exact import MAX_RING_SITES
 from kzring.sampler import (
     DomainEnsemble,
     ensemble_mean_magnetization,
@@ -248,6 +251,23 @@ def test_equilibrium_magnetization_validates_input():
         equilibrium_magnetization(1.0, n_ref=1)
     with pytest.raises(ValueError):
         equilibrium_magnetization(-0.5, n_ref=8)
+    with pytest.raises(ConfigError, match=rf"\[2, {MAX_RING_SITES}\]"):
+        equilibrium_magnetization(1.0, n_ref=MAX_RING_SITES + 1)
+
+
+def test_a_magnetization_lookup_keeps_no_ed_memory():
+    # warm up the sparse path (scipy's imports, any per-size state) on
+    # another ring size, then trace a lookup on a field not seen before
+    equilibrium_magnetization(0.7316, n_ref=11)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        equilibrium_magnetization(0.7315, n_ref=12)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.1 * 2**20
 
 
 @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
