@@ -19,20 +19,22 @@ domain delta.
 
 :func:`concurrences` is the closed form's one entry point: it takes a batch
 of configs that differ only in g and ensemble and a scalar elapsed time or
-an array of them, and runs one batched kernel that computes the branch
-rotors once per distinct g.  It rotates each domain's Bloch vector, built
-from the ensemble's angle tuples, by all the rotors of its g in one
-matrix-vector product per (config, domain), and still performs, per
-coupling, time and domain, the same floating-point operations as building
-ScsDirection objects, 3 x 3 rotation matrices and the rotation.  The angles
-of both branch rotors come from one :func:`~kzring.scs.omega_angles` pass
-per block of couplings and their trigonometry of theta from one
-:func:`~kzring.scs.rotation_matrices` call, with no Python call per point.
-The distinct couplings, then the configs, are cut into blocks of (config,
-time, domain) points by :func:`kzring._workers.ordered_map`, which bounds a
-batch's memory and shares the blocks with the worker thread; the rotor
-blocks fill one array in place.  Each row is computed alike in any block,
-so the bytes do not depend on the number of CPUs.  Products below the smallest normal double are written as 0.
+an array of them.  :func:`kzring._workers.ordered_map` cuts the configs
+into blocks of (config, time, domain) points, which bounds a block's
+memory, and shares the blocks with the worker thread.  A block rotates each
+domain's Bloch vector, built from the ensemble's angle tuples, by all the
+rotors of its config in one matrix-vector product per (config, domain),
+and still performs, per coupling, time and domain, the same floating-point
+operations as building ScsDirection objects, 3 x 3 rotation matrices and
+the rotation.  The branch rotors, 2 x T of shape 3 x 3 per coupling, are
+built once when the whole batch has one coupling, as over an ensemble's
+realizations, and every block reads them; otherwise each block builds its
+own configs' rotors, so no rotor table spans the batch.  Their angles come
+from one :func:`~kzring.scs.omega_angles` pass and their trigonometry of
+theta from one :func:`~kzring.scs.rotation_matrices` call per build, with
+no Python call per point.  Each row is computed alike in any block, so the
+bytes do not depend on the number of CPUs.  Products below the smallest
+normal double are written as 0.
 
 The picture holds only inside the frozen window after freeze-out, and
 :func:`concurrences` is the one place that checks it: once per batch, on
@@ -154,15 +156,18 @@ def displacement_parameter(g: float, h_t, t):
     return (g / h_t) * ((np.cos(th) - 1.0) + 1j * np.sin(th))
 
 
-def _rotors(g: np.ndarray, h_t: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
-    """Fill out, shape (2, g, T, 3, 3), with the rotor of each g and time per branch."""
+def _rotors(g: np.ndarray, h_t: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The rotor of each g and time per branch, the T rotors of a g stacked
+    row-wise: shape (2, g, 1, 3T, 3)."""
     theta, phi_plus, phi_minus = omega_angles(displacement_parameter(g[:, None], h_t, times))
-    rotation_matrices(theta, np.stack([phi_plus, phi_minus]), out)
+    rotors = rotation_matrices(theta, np.stack([phi_plus, phi_minus]))
+    return rotors.reshape(2, len(g), 1, 3 * len(times), 3)
 
 
 def _overlaps(configs: tuple[DiaConfig, ...], rot_plus, rot_minus) -> np.ndarray:
     """prod_d cos^(2 S_d)(Theta_d/2) of each config at each time, shape
-    (configs, T), given each config's rotors, (configs, 1, 3T, 3) per branch.
+    (configs, T), given each config's rotors per branch, (configs, 1, 3T, 3),
+    or one coupling's, (1, 1, 3T, 3), broadcast over the configs.
     """
     first = configs[0]
     n_d = first.partition.n_d
@@ -178,12 +183,17 @@ def _overlaps(configs: tuple[DiaConfig, ...], rot_plus, rot_minus) -> np.ndarray
     # differently.
     plus = (rot_plus @ n0).reshape(-1, n_d, n_t, 1, 3)
     minus = (rot_minus @ n0).reshape(-1, n_d, n_t, 3, 1)
-    dot = (plus @ minus)[..., 0, 0]
-    cosines = np.sqrt(np.clip(0.5 * (1.0 + dot), 0.0, 1.0))
+    cosines = (plus @ minus)[..., 0, 0]
+    del plus, minus
+    # sqrt(clip(0.5 (1 + dot))) ** 2 S_d, in place, (config, domain, time)
+    cosines += 1.0
+    cosines *= 0.5
+    np.clip(cosines, 0.0, 1.0, out=cosines)
+    np.sqrt(cosines, out=cosines)
+    cosines **= 2.0 * first.partition.s_d
     # (config, time, domain), contiguous, so the product over domains
-    # reduces each point's cosines in domain order
-    cosines = np.ascontiguousarray(np.swapaxes(cosines, 1, 2))
-    out = np.prod(cosines ** (2.0 * first.partition.s_d), axis=-1)
+    # reduces each point's factors in domain order
+    out = np.prod(np.ascontiguousarray(np.swapaxes(cosines, 1, 2)), axis=-1)
     out[out < np.finfo(float).tiny] = 0.0  # subnormal products flush to 0
     return out
 
@@ -196,12 +206,13 @@ def concurrences(configs, t) -> np.ndarray:
     the modulus of the ring overlap between the two branches, which is never
     negative.  Swapping the branch labels leaves it unchanged (the two
     branch states trade places, conjugating the overlap).  One kernel call
-    per block of configs; row k equals the one-config batch
-    ``concurrences([configs[k]], t)[0]`` bit for bit.  A scalar t gives one
-    value per config.  The configs may differ only in g and ensemble,
-    otherwise ValueError.  Times that leave the frozen window of any config
-    are a ConfigError naming the first failing guard (and, for the detuning
-    guard, the first failing g in batch order).
+    per block of configs, which builds its configs' rotors unless the batch
+    has one coupling, whose rotors are built once; row k equals the
+    one-config batch ``concurrences([configs[k]], t)[0]`` bit for bit.  A
+    scalar t gives one value per config.  The configs may differ only in g
+    and ensemble, otherwise ValueError.  Times that leave the frozen window
+    of any config are a ConfigError naming the first failing guard (and,
+    for the detuning guard, the first failing g in batch order).
     """
     configs = tuple(configs)
     shared = {(c.schedule, c.t0, c.partition, c.g_max, c.g_to_h_max) for c in configs}
@@ -215,16 +226,16 @@ def concurrences(configs, t) -> np.ndarray:
     flat = times.reshape(-1)
     if not flat.size:
         return np.empty((len(configs),) + times.shape)
-    # The rotors of each distinct g, shared by its ensemble runs, then each
-    # config's products; a g's rotors weigh as much as a config's products.
-    points_each = len(flat) * first.partition.n_d
-    g, row = np.unique([c.g for c in configs], return_inverse=True)
     h_t = field_at(first.schedule, first.t0 + flat)
-    rotors = np.empty((2, len(g), len(flat), 3, 3))
-    for _ in _workers.ordered_map(lambda b: _rotors(g[b], h_t, flat, rotors[:, b]), len(g), points_each):
-        pass  # each block fills its own rows
-    rotors = rotors.reshape(2, len(g), 1, 3 * len(flat), 3)  # T rotors stacked row-wise
-    blocks = _workers.ordered_map(
-        lambda b: _overlaps(configs[b], *rotors[:, row[b]]), len(configs), points_each
-    )
+    # One coupling, as over an ensemble's realizations: its rotors are built
+    # once and every block broadcasts them.  Otherwise each block builds its
+    # own configs' rotors, so no rotor table spans the batch.
+    one_g = len({c.g for c in configs}) == 1
+    rotors = _rotors(np.array([first.g]), h_t, flat) if one_g else None
+
+    def block(b: slice) -> np.ndarray:
+        own = rotors if one_g else _rotors(np.array([c.g for c in configs[b]]), h_t, flat)
+        return _overlaps(configs[b], *own)
+
+    blocks = _workers.ordered_map(block, len(configs), len(flat) * first.partition.n_d)
     return np.concatenate(list(blocks)).reshape((len(configs),) + times.shape)

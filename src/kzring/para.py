@@ -103,11 +103,16 @@ def _overlaps(configs: tuple[ParaConfig, ...], times: np.ndarray) -> np.ndarray:
     ell = _displacements(g, first.h, times.reshape(-1)).reshape(-1)
     theta, phi_plus, phi_minus = omega_angles(ell)
     plus, minus = bloch_vectors(theta, np.stack([phi_plus, phi_minus]))
-    dot = (plus[:, None, :] @ minus[:, :, None])[:, 0, 0]
-    cos_half = np.sqrt(np.clip(0.5 * (1.0 + dot), 0.0, 1.0))
+    out = (plus[:, None, :] @ minus[:, :, None])[:, 0, 0]
+    del plus, minus
+    # sqrt(clip(0.5 (1 + dot))) in place
+    out += 1.0
+    out *= 0.5
+    np.clip(out, 0.0, 1.0, out=out)
+    np.sqrt(out, out=out)
     # libm pow, as Python's float ** int calls it; np.power can differ from
     # it in the last bit
-    out = np.float_power(cos_half, float(first.n))
+    np.float_power(out, float(first.n), out=out)
     out[out < np.finfo(float).tiny] = 0.0  # subnormal powers flush to 0
     return out.reshape((len(configs),) + times.shape)
 

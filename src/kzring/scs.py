@@ -151,10 +151,9 @@ def bloch_vectors(theta, phi) -> np.ndarray:
     return out
 
 
-def rotation_matrices(theta, phi, out=None) -> np.ndarray:
+def rotation_matrices(theta, phi) -> np.ndarray:
     """SO(3) displacement matrices of a canonical theta and a phi of shape
-    (...,) + theta.shape, shape phi.shape + (3, 3), written into `out` when
-    it is given.
+    (...,) + theta.shape, shape phi.shape + (3, 3).
 
     Each is the displacement exp(Omega S- - conj(Omega) S+) acting on Bloch
     vectors: the Rodrigues rotation by theta about the in-plane axis
@@ -165,7 +164,7 @@ def rotation_matrices(theta, phi, out=None) -> np.ndarray:
     """
     c, s = np.cos(theta), np.sin(theta)
     a, b = np.cos(phi), np.sin(phi)
-    out = np.empty(a.shape + (3, 3)) if out is None else out
+    out = np.empty(a.shape + (3, 3))
     out[..., 0, 0] = c * a * a + b * b
     out[..., 0, 1] = out[..., 1, 0] = -a * b * (1.0 - c)
     out[..., 0, 2] = s * a

@@ -11,8 +11,10 @@ bytes it keeps, and the kept bytes of a block, in order, are its CSV lines.
 The rows are cut into blocks by kzring._workers, a cell weighing
 CELL_POINTS points, and the blocks are formatted on the calling thread and
 the worker thread and written in order; a block's bytes do not depend on the
-thread that formats it or on where the blocks are cut.  A table with a
-string column is written row by row.
+thread that formats it or on where the blocks are cut.  A block keeps its
+bytes SLICE_CELLS cells at a time, so the int64 index np.compress builds
+spans one slice's kept bytes, not the block's.  A table with a string
+column is written row by row.
 
 Vector path, for ±0 and every normal double with |v| < 1e10: with
 X = floor(log10|v|) and k = 11 − X (1 <= k <= 319), Y = |v|·10^k lies in
@@ -48,6 +50,10 @@ __all__ = ["CELL_POINTS", "DataTable", "csv_lines", "emit_csv"]
 # 220 bytes a cell and the dia kernel about 75 a point, so a CSV block takes
 # about 1.5 times a kernel block's memory.
 CELL_POINTS = 2
+
+# Cells of a block compacted at a time: np.compress's int64 index then spans
+# the kept bytes of 4,096 slots (160 KiB of them), not of the whole block.
+SLICE_CELLS = 4096
 
 # Slot of one numeric cell, 5 words of 8 bytes:
 #   0-7    "\0\0-0.000": sign, then "0." and zeros for -4 <= X < 0
@@ -185,7 +191,11 @@ def _block(columns: list) -> bytes:
     text, keep = _number_slots(np.stack(columns, axis=1))
     # One row of slots per line: its last slot's separator ends the line.
     text.reshape(len(columns[0]), -1)[:, -1] = ord("\n")
-    return np.compress(keep.reshape(-1), text.reshape(-1)).tobytes()
+    return b"".join(
+        np.compress(keep[k : k + SLICE_CELLS].reshape(-1), text[k : k + SLICE_CELLS].reshape(-1))
+        .tobytes()
+        for k in range(0, len(text), SLICE_CELLS)
+    )
 
 
 def csv_lines(columns: list):

@@ -15,6 +15,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,39 @@ def test_mixed_batch_maps_each_config_to_its_own_row():
     pc = para.ParaConfig(n=120, g=1.0 / 6.0, h=2.0)
     para_configs = [dataclasses.replace(pc, g=g) for g in (0.2, 0.05, 0.2, 0.0)]
     assert_batch_is_the_single_calls(para, para_configs, t)
+
+
+def test_mixed_batch_over_several_blocks_maps_each_config_to_its_own_row():
+    # 40 configs of 200 times x 5 domains: two blocks, each holding repeated
+    # and distinct couplings and both ensembles, so every block builds its
+    # own configs' rotors.
+    (first,) = _dia_configs(BENCH_SWEEP)
+    (second,) = _dia_configs(dataclasses.replace(BENCH_SWEEP, seed=BENCH_SWEEP.seed + 1))
+    assert first.ensemble != second.ensemble
+    configs = [
+        dataclasses.replace((first, second)[k // 3 % 2], g=(0.05, 0.1, 0.2, 0.1, 0.3, 0.25)[k % 6])
+        for k in range(40)
+    ]
+    assert 20 * 200 * 5 <= _workers.BLOCK_POINTS < 40 * 200 * 5
+    for block in (configs[:20], configs[20:]):
+        assert len({c.g for c in block}) == 5 and len({c.ensemble for c in block}) == 2
+    assert_batch_is_the_single_calls(dia, configs, _time_grid(BENCH_SWEEP))
+
+
+def test_a_large_dia_batch_keeps_to_the_block_budget():
+    # 400 couplings x 400 times x 5 domains: each block builds only its own
+    # configs' rotors, so no (2, g, t, 3, 3) table spans the batch (29 MiB
+    # traced with one, about 6 MiB without).
+    cfg = dataclasses.replace(BENCH_SWEEP, g_sweep_points=400, t_points=400)
+    _, _, configs = _sweep_configs(cfg)
+    t = _time_grid(cfg)
+    tracemalloc.start()
+    try:
+        dia.concurrences(configs, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak / 2**20
 
 
 def test_batches_reject_configs_that_differ_beyond_g_and_ensemble():

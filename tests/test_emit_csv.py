@@ -1,5 +1,7 @@
 """emit_csv bytes pinned to the per-row template writer it replaced."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,10 +80,34 @@ def numeric_table(rows: int, seed: int) -> DataTable:
 ONE_BLOCK = _workers.BLOCK_POINTS // (CELL_POINTS * 4)
 
 
-@pytest.mark.parametrize("rows", [0, 1, ONE_BLOCK, ONE_BLOCK + 1])
+# One block formats ONE_BLOCK rows in 4 full slices of compaction; the two
+# blocks of ONE_BLOCK + 1 rows end in 0 and 4 cells past a slice, and
+# SLICE_ROWS + 1 rows, in one block, 4 cells past the first slice.
+SLICE_ROWS = tables.SLICE_CELLS // 4
+
+
+@pytest.mark.parametrize("rows", [0, 1, SLICE_ROWS + 1, ONE_BLOCK, ONE_BLOCK + 1])
 def test_row_counts_at_the_block_edges(rows, tmp_path):
     table = numeric_table(rows, seed=rows)
     assert emitted(table, tmp_path) == reference_csv(table)
+
+
+def test_a_csv_block_keeps_its_compaction_index_to_one_slice():
+    # One 3,276-row block of the bench sweep table, 16,380 cells: compacted
+    # a slice at a time, the int64 index of np.compress spans one slice's
+    # kept bytes (3.38 MiB traced for the block with one index, 2.45 MiB
+    # with slices).
+    table = run_scenario(BENCH_SWEEP).tables["sweep"]
+    rows = _workers.BLOCK_POINTS // (CELL_POINTS * len(table.data))
+    block = [c[:rows] for c in table.data]
+    expected = tables._block(block)  # builds the lookup tables first
+    tracemalloc.start()
+    try:
+        assert tables._block(block) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("rows", [1, ONE_BLOCK + 1])
