@@ -2,8 +2,7 @@
 
 Closed-form concurrence traces for the paramagnetic and frozen-domain
 (post-quench) regimes, a spin-coherent-state toolbox, domain-configuration
-sampling, and a dense/sparse exact-diagonalization oracle to check it all
-against.
+sampling, and an exact-diagonalization oracle to check it all against.
 """
 
 __version__ = "0.1.0"

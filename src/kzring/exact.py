@@ -18,7 +18,9 @@ in the computational basis.  Intended for N up to 12 as an oracle, not for
 production-size rings.  The ring Hamiltonian, which also serves the
 magnetization lookup at up to 16 sites, is built at each call straight into
 canonical CSR from one table of bit flips, laid out as scipy's sparse
-algebra lays it out, and nothing is cached.  scipy is imported by the
+algebra lays it out, and nothing is cached.  Its lowest eigenpairs, for the
+lookup and for the oracle's ring ground state alike, come from one sparse
+route, `lowest_eigenpairs`, at every ring size.  scipy is imported by the
 functions that use it, at their first call, so importing this module loads
 numpy alone.
 """
@@ -47,7 +49,7 @@ __all__ = [
     "CrossCheckReport",
     "DEVICE_PARITY",
     "ring_hamiltonian",
-    "ring_hamiltonian_dense",
+    "lowest_eigenpairs",
     "magnetization_diagonal",
     "build_hamiltonian",
     "separable_state",
@@ -158,12 +160,20 @@ def ring_hamiltonian(n: int, h: float) -> sp.csr_matrix:
     return sp.csr_matrix(arrays, shape=(1 << n, 1 << n))
 
 
-def ring_hamiltonian_dense(n: int, h: float) -> np.ndarray:
-    """ring_hamiltonian(n, h).toarray() bit for bit, built with numpy alone."""
-    data, indices, indptr = _ring_arrays(n, h)
-    ham = np.zeros((1 << n, 1 << n))
-    ham[np.repeat(np.arange(1 << n), np.diff(indptr)), indices] = data
-    return ham
+def lowest_eigenpairs(ham: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenvalues of a sparse ring Hamiltonian, ascending, and
+    their eigenvectors as columns.
+
+    Lanczos (eigsh) from the uniform start vector, which keeps repeated runs
+    bit-identical.
+    """
+    from scipy.sparse.linalg import eigsh
+
+    dim = ham.shape[0]
+    start = np.full(dim, 1.0 / math.sqrt(dim))
+    vals, vecs = eigsh(ham, k=k, which="SA", v0=start)
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def _block_hamiltonian(spec: HamiltonianSpec, parity: float, h: float) -> sp.csr_matrix:
@@ -212,22 +222,8 @@ def ground_state_ring(spec: HamiltonianSpec, t: float = 0.0) -> RingGroundState:
     of even parity under prod_i (2 sz_i), which is the symmetric one, and
     sets the flag.
     """
-    h = field_value(spec, t)
-    ham = ring_hamiltonian(spec.n, h)
-    dim = ham.shape[0]
-    if dim <= 2048:
-        dense = ham.toarray()
-        vals, vecs = np.linalg.eigh(dense)
-        e0, e1 = vals[0], vals[1]
-        v0, v1 = vecs[:, 0], vecs[:, 1]
-    else:
-        from scipy.sparse.linalg import eigsh
-
-        start = np.full(dim, 1.0 / math.sqrt(dim))
-        vals, vecs = eigsh(ham, k=2, which="SA", v0=start)
-        order = np.argsort(vals)
-        e0, e1 = vals[order[0]], vals[order[1]]
-        v0, v1 = vecs[:, order[0]], vecs[:, order[1]]
+    (e0, e1), vecs = lowest_eigenpairs(ring_hamiltonian(spec.n, field_value(spec, t)), 2)
+    v0, v1 = vecs.T
     gap = e1 - e0
     degenerate = gap <= 1e-10 * max(1.0, abs(e0))
     if degenerate:

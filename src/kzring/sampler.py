@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .exact import MAX_RING_SITES, magnetization_diagonal, ring_hamiltonian, ring_hamiltonian_dense
+from .exact import MAX_RING_SITES, lowest_eigenpairs, magnetization_diagonal, ring_hamiltonian
 from .scs import ScsDirection
 
 __all__ = [
@@ -85,17 +85,8 @@ class DomainEnsemble:
 
 @lru_cache(maxsize=128)
 def _ground_state_magnetization(h: float, n_ref: int) -> float:
-    dim = 1 << n_ref
-    if dim <= 1024:
-        vals, vecs = np.linalg.eigh(ring_hamiltonian_dense(n_ref, h))
-        vec = vecs[:, 0]
-    else:
-        from scipy.sparse.linalg import eigsh
-
-        # Deterministic start vector keeps repeated runs bit-identical.
-        start = np.full(dim, 1.0 / math.sqrt(dim))
-        _, vecs = eigsh(ring_hamiltonian(n_ref, h), k=1, which="SA", v0=start)
-        vec = vecs[:, 0]
+    _, vecs = lowest_eigenpairs(ring_hamiltonian(n_ref, h), 1)
+    vec = vecs[:, 0]
     mz = magnetization_diagonal(n_ref)
     return float(np.real(vec.conj() @ (mz * vec))) / n_ref
 

@@ -1,4 +1,4 @@
-"""Dense/sparse exact-diagonalization oracle for the full model."""
+"""Exact-diagonalization oracle for the full model."""
 
 import math
 
@@ -73,15 +73,6 @@ def test_transverse_matrix_is_the_coo_build_byte_for_byte():
         _same_csr(exact._transverse_matrix(n), _coo_flips(n, [1 << i for i in range(n)], 0.5))
 
 
-def test_dense_ring_hamiltonian_is_the_sparse_one_bit_for_bit():
-    for n in (2, 3, 6, 10):
-        for h in (*FIELDS, 1.01):
-            dense = exact.ring_hamiltonian_dense(n, h)
-            assert dense.tobytes() == ring_hamiltonian(n, h).toarray().tobytes()
-    with pytest.raises(ValueError):
-        exact.ring_hamiltonian_dense(1, 1.0)
-
-
 def test_zero_coupling_decouples_device_blocks():
     spec = HamiltonianSpec(n=4, g=0.0, field=2.0)
     h = build_hamiltonian(spec, 0.0)
@@ -113,6 +104,21 @@ def test_ground_state_flags_degeneracy_at_zero_field():
     h = ring_hamiltonian(6, 0.0)
     ritz = np.vdot(gs.vector, h @ gs.vector).real
     assert ritz == pytest.approx(gs.energy, abs=1e-10)
+
+
+def test_ground_state_ring_matches_a_dense_reference():
+    # At h = 0 the uniform start vector is itself a ground state, and eigsh
+    # must still return both members of the doublet.
+    for n in range(2, 9):
+        for h in (0.0, 0.5, 1.0, 8.0):
+            ham = ring_hamiltonian(n, h)
+            vals, vecs = np.linalg.eigh(ham.toarray())
+            gs = ground_state_ring(HamiltonianSpec(n=n, g=0.0, field=h))
+            assert abs(gs.energy - vals[0]) <= 1e-12, (n, h)
+            assert np.linalg.norm(ham @ gs.vector - gs.energy * gs.vector) <= 1e-12, (n, h)
+            assert gs.degenerate == (h == 0.0), (n, h)
+            if h > 0.0:
+                assert abs(np.vdot(vecs[:, 0], gs.vector)) ** 2 >= 1.0 - 1e-12, (n, h)
 
 
 def test_ground_state_energy_is_the_rayleigh_quotient():

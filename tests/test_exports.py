@@ -51,28 +51,43 @@ THREAD_NAMES = {
 }
 
 
+def source_names(path: Path) -> set[str]:
+    """Every module, imported name, attribute and bare name a source file uses."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    return names
+
+
 def test_the_cut_and_the_worker_thread_have_one_home():
     from kzring import _workers
 
     for path in Path(kzring.__file__).parent.glob("*.py"):
         if path.stem == "_workers":
             continue
-        names = set()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names.update(a.name.split(".")[0] for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names.add(node.module.split(".")[0])
-                names.update(a.name for a in node.names)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.Name):
-                names.add(node.id)
-        assert not names & (THREAD_NAMES | {"BLOCK_POINTS"}), path.name
+        assert not source_names(path) & (THREAD_NAMES | {"BLOCK_POINTS"}), path.name
     assert [name for name in _workers.__all__ if callable(getattr(_workers, name))] == [
         "ordered_map"
     ]
     assert not hasattr(_workers, "in_halves")
+
+
+def test_the_ring_eigensolver_has_one_home():
+    import kzring.exact
+
+    package = Path(kzring.__file__).parent
+    naming_eigsh = [path.name for path in package.glob("*.py") if "eigsh" in source_names(path)]
+    assert naming_eigsh == ["exact.py"]
+    assert not source_names(package / "sampler.py") & {"eigsh", "eigh"}
+    assert not hasattr(kzring.exact, "ring_hamiltonian_dense")
 
 
 def kzring_imports(module: str) -> set[str]:

@@ -11,6 +11,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import kzring
 
 KZRING_ROOT = str(Path(kzring.__file__).resolve().parent.parent)
@@ -59,13 +61,9 @@ def test_config_error_loads_no_scipy(tmp_path):
     assert scipy_modules_after(code, tmp_path) == []
 
 
-def test_dense_magnetization_lookup_loads_no_scipy(tmp_path):
-    code = "kzring.sampler.equilibrium_magnetization(1.0, n_ref=8)"
-    assert scipy_modules_after(code, tmp_path) == []
-
-
-def test_sparse_magnetization_lookup_loads_scipy_sparse_linalg(tmp_path):
-    code = "kzring.sampler.equilibrium_magnetization(1.0)"
+@pytest.mark.parametrize("n_ref", [8, 14])
+def test_sparse_magnetization_lookup_loads_scipy_sparse_linalg(tmp_path, n_ref):
+    code = f"kzring.sampler.equilibrium_magnetization(1.0, n_ref={n_ref})"
     assert "scipy.sparse.linalg" in scipy_modules_after(code, tmp_path)
 
 

@@ -265,6 +265,26 @@ def test_sweep_table_checks_the_unit_interval(monkeypatch, module):
         run_scenario(cfg)
 
 
+def _fig5_window(h_para):
+    """Criterion 4's two readings on fig5 with only h_para changed: the least
+    difference over g in [0.05, 0.2], t in [0, 1], and the g of the largest."""
+    table = run_preset("fig5", h_para=h_para).tables["sweep"]
+    g, t, diff = (table.column(name) for name in ("g", "t_elapsed", "difference"))
+    box = (g >= 0.05) & (g <= 0.2) & (t >= 0.0) & (t <= 1.0)
+    return float(np.min(diff[box])), float(g[np.argmax(diff)])
+
+
+def test_criterion_4_sign_turns_on_the_paramagnetic_field():
+    # To second order in g the window's sign is that of
+    # sin^2(t h/2)/h^2 - A(t) sin^2(t h_t/2)/h_t^2, whose sides cross at
+    # h_para ~ 2.77; the argmax sits on the plateau above g = 0.25 either way.
+    low, g_low = _fig5_window(2.5)
+    high, g_high = _fig5_window(3.0)
+    assert low >= 0.0
+    assert high < 0.0
+    assert g_low == g_high == pytest.approx(0.2714, abs=1e-4)
+
+
 def test_sweep_run_is_g_major():
     cfg = ScenarioConfig(
         mode="sweep-g", g_sweep_min=0.05, g_sweep_max=0.1, g_sweep_points=3,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kzring.errors import ConfigError
-from kzring.exact import MAX_RING_SITES
+from kzring.exact import MAX_RING_SITES, magnetization_diagonal, ring_hamiltonian
 from kzring.sampler import (
     DomainEnsemble,
     ensemble_mean_magnetization,
@@ -234,6 +234,16 @@ def test_equilibrium_magnetization_limits_and_monotonicity():
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 0.5
     assert equilibrium_magnetization(50.0, n_ref=8) == pytest.approx(0.5, abs=1e-4)
+
+
+def test_equilibrium_magnetization_matches_a_dense_reference():
+    # One sparse route serves every ring size; the small rings check it
+    # against a dense diagonalization kept here.
+    for n in (2, 4, 6, 8, 10):
+        mz = magnetization_diagonal(n)
+        for h in (0.0, 0.5, 1.0, 8.0):
+            vec = np.linalg.eigh(ring_hamiltonian(n, h).toarray())[1][:, 0]
+            assert abs(equilibrium_magnetization(h, n_ref=n) - vec @ (mz * vec) / n) <= 1e-13
 
 
 def test_equilibrium_magnetization_regression_value():
