@@ -159,8 +159,7 @@ def displacement_parameter(g: float, h_t, t):
 def _rotors(g: np.ndarray, h_t: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The rotor of each g and time per branch, the T rotors of a g stacked
     row-wise: shape (2, g, 1, 3T, 3)."""
-    theta, phi_plus, phi_minus = omega_angles(displacement_parameter(g[:, None], h_t, times))
-    rotors = rotation_matrices(theta, np.stack([phi_plus, phi_minus]))
+    rotors = rotation_matrices(*omega_angles(displacement_parameter(g[:, None], h_t, times)))
     return rotors.reshape(2, len(g), 1, 3 * len(times), 3)
 
 
@@ -191,9 +190,9 @@ def _overlaps(configs: tuple[DiaConfig, ...], rot_plus, rot_minus) -> np.ndarray
     np.clip(cosines, 0.0, 1.0, out=cosines)
     np.sqrt(cosines, out=cosines)
     cosines **= 2.0 * first.partition.s_d
-    # (config, time, domain), contiguous, so the product over domains
-    # reduces each point's factors in domain order
-    out = np.prod(np.ascontiguousarray(np.swapaxes(cosines, 1, 2)), axis=-1)
+    # numpy's multiply reduction runs sequentially along any axis, so the
+    # product over the domain axis takes each point's factors in domain order
+    out = np.prod(cosines, axis=1)
     out[out < np.finfo(float).tiny] = 0.0  # subnormal products flush to 0
     return out
 

@@ -101,8 +101,7 @@ def _overlaps(configs: tuple[ParaConfig, ...], times: np.ndarray) -> np.ndarray:
     first = configs[0]
     g = np.array([c.g for c in configs])[:, None]
     ell = _displacements(g, first.h, times.reshape(-1)).reshape(-1)
-    theta, phi_plus, phi_minus = omega_angles(ell)
-    plus, minus = bloch_vectors(theta, np.stack([phi_plus, phi_minus]))
+    plus, minus = bloch_vectors(*omega_angles(ell))
     out = (plus[:, None, :] @ minus[:, :, None])[:, 0, 0]
     del plus, minus
     # sqrt(clip(0.5 (1 + dot))) in place

@@ -94,8 +94,9 @@ def _ground_state_magnetization(h: float, n_ref: int) -> float:
 def equilibrium_magnetization(h: float, n_ref: int = 14) -> float:
     """Ground-state z-magnetization per spin of the n_ref-site ring at field h.
 
-    Exact diagonalization, so values land in [0, 1/2]: h = 0 gives 0 by the
-    spin-flip symmetry of the bond term, large h saturates to 1/2.
+    Exact diagonalization, so values land in [0, 1/2] up to rounding: h = 0
+    gives 0 by the spin-flip symmetry of the bond term, or a value of order
+    1e-16 of either sign, large h saturates to 1/2.
     """
     if isinstance(n_ref, bool) or not isinstance(n_ref, numbers.Integral):
         raise ConfigError(f"reference ring size must be an integer, got {n_ref!r}")
@@ -106,23 +107,7 @@ def equilibrium_magnetization(h: float, n_ref: int = 14) -> float:
     return _ground_state_magnetization(float(h), int(n_ref))
 
 
-def _grow(partials: list[float], x: float) -> None:
-    """Add x to partials, nonoverlapping floats whose exact sum is the total.
-
-    The two-sum expansion behind math.fsum (Shewchuk, Discrete Comput. Geom.
-    18, 305 (1997)), so math.fsum(partials) is the correctly rounded total.
-    """
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
+_ULP_UNITS = 1 << 1074  # 2^1074, one over the smallest subnormal double
 
 
 def sample_initial_directions(
@@ -153,7 +138,10 @@ def sample_initial_directions(
     upper0 = center0 + width0
 
     cosines: list[float] = []
-    partials: list[float] = []  # the sum of cosines, exactly
+    # The exact sum of the cosines in units of 2^-1074, of which every double
+    # is a whole number; int / int true division rounds it correctly, as
+    # math.fsum does.
+    total = 0
     clamped = False
     center, width = center0, width0
     for k, u in enumerate(rng.random(n_d - 1).tolist()):
@@ -161,10 +149,11 @@ def sample_initial_directions(
         draw = lo + (center + width - lo) * u
         cosines.append(min(1.0, max(-1.0, draw)))
         clamped = clamped or cosines[-1] != draw
-        _grow(partials, cosines[-1])
-        center = (n_d * center0 - math.fsum(partials)) / (n_d - k - 1)
+        num, den = cosines[-1].as_integer_ratio()
+        total += num << (1075 - den.bit_length())
+        center = (n_d * center0 - total / _ULP_UNITS) / (n_d - k - 1)
         width = min(abs(upper0 - center), abs(lower0 - center))
-    last = n_d * center0 - math.fsum(partials)
+    last = n_d * center0 - total / _ULP_UNITS
     cosines.append(min(1.0, max(-1.0, last)))
     clamped = clamped or cosines[-1] != last
     if clamped:

@@ -99,15 +99,18 @@ def rotation_matrix(d: ScsDirection) -> np.ndarray:
     return rotation_matrices(np.array([d.theta]), np.array([d.phi]))[0]
 
 
-def omega_angles(omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical (theta, phi_plus, phi_minus) of the directions of +Omega and
-    -Omega, for an array of displacement parameters, each of its shape.
+def omega_angles(omega) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical theta, and the phases of the directions of +Omega and
+    -Omega stacked as one array of shape (2,) + theta.shape, for an array of
+    displacement parameters, theta of its shape.
 
     Elementwise the same arithmetic, in the same order, as
     ``ScsDirection.from_omega(+-Omega)``: theta = 2|Omega| folded into
     [0, pi], phi = arg(+-Omega) shifted by pi on a fold, taken mod 2pi and
     pinned to 0 at either pole.  theta, the fold and the pole do not depend
-    on the sign of Omega, so they are computed once for both.
+    on the sign of Omega, so they are computed once for both.  Each phase
+    row is written in place, so the stack is what the kernels pass to
+    :func:`bloch_vectors` and :func:`rotation_matrices`.
 
     The phase is the imaginary part of the complex log, which glibc's
     ``clog`` sets to ``atan2(imag, real)``, signed zeros included: the value
@@ -123,16 +126,14 @@ def omega_angles(omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     reflex = theta > math.pi
     theta[reflex] = _TWO_PI - theta[reflex]
     pole = (theta == 0.0) | (theta == math.pi)
-    angles = [theta]
-    for branch in (omega, -omega):
+    phases = np.empty((2,) + theta.shape)
+    for row, branch in zip(phases, (omega, -omega)):
         with np.errstate(divide="ignore"):  # log(0) has real part -inf
             phi = np.log(branch).imag
         phi[reflex] += math.pi
-        # a new array, so the complex log behind the view is freed
-        phi = phi % _TWO_PI
-        phi[pole] = 0.0
-        angles.append(phi)
-    return tuple(angles)
+        np.remainder(phi, _TWO_PI, out=row)
+        row[pole] = 0.0
+    return theta, phases
 
 
 # The stacks below are filled in place, so every row and matrix is

@@ -8,7 +8,8 @@ scalar ScsDirection route (para with Python's float ** int, dia with one
 3 x 3 rotation per time and domain), and the bytes must not depend on the
 BLAS thread count.  The result must also agree with the closed forms
 written as one-line trigonometric formulas, whose different arithmetic
-leaves differences of a few ulps of the unit interval.
+leaves differences of a few ulps of the unit interval, and sampled cells
+must round like those formulas evaluated at 40 digits.
 """
 
 import dataclasses
@@ -69,25 +70,29 @@ def dia_frame(cfg, t):
     return domain_partition(cfg.n, schedule).s_d, field_at(schedule, t0 + t)
 
 
-def one_liner_traces(cfg, result, prefix):
-    """(table, column, one-line formula values) for one preset scenario."""
+def closed_form_traces(cfg, result, prefix):
+    """(written column, "para" or "dia", the closed form's arguments) for
+    each trace of one scenario; array arguments run over the rows."""
     if cfg.mode == "sweep-g":
         table = result.tables["sweep"]
         t, g = table.column("t_elapsed"), table.column("g")
         s_d, h_t = dia_frame(cfg, t)
-        yield table, "concurrence_para", para_one_liner(cfg.n, g, cfg.h_para, t)
-        yield table, "concurrence_dia", dia_one_liner(
+        yield table.column("concurrence_para"), "para", (cfg.n, g, cfg.h_para, t)
+        yield table.column("concurrence_dia"), "dia", (
             result.ensembles["sweep"], s_d, g, h_t, t)
         return
     if cfg.mode == "compare":
         table = result.tables["para"]
-        yield table, "concurrence", para_one_liner(
+        yield table.column("concurrence"), "para", (
             cfg.n, cfg.g, cfg.h_para, table.column("t_elapsed"))
     table = result.tables[f"{prefix}dia"]
     t = table.column("t_elapsed")
     s_d, h_t = dia_frame(cfg, t)
-    yield table, "concurrence", dia_one_liner(
+    yield table.column("concurrence"), "dia", (
         result.ensembles[f"{prefix}dia"], s_d, cfg.g, h_t, t)
+
+
+ONE_LINERS = {"para": para_one_liner, "dia": dia_one_liner}
 
 
 @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5"])
@@ -96,9 +101,58 @@ def test_presets_agree_with_the_one_line_formulas(name):
     configs = preset_config(name)
     for cfg in configs:
         prefix = f"{cfg.label}_" if len(configs) > 1 else ""
-        for table, column, expected in one_liner_traces(cfg, result, prefix):
-            worst = np.max(np.abs(table.column(column) - expected))
-            assert worst <= ONE_LINER_ATOL, (cfg.label, column, worst)
+        for written, form, args in closed_form_traces(cfg, result, prefix):
+            worst = np.max(np.abs(written - ONE_LINERS[form](*args)))
+            assert worst <= ONE_LINER_ATOL, (cfg.label, form, worst)
+
+
+# A sampled cell may be off the 40-digit closed form by ROUNDING_ULPS * N * eps
+# relative: N factors, each good to a few ulps, enter every concurrence.
+ROUNDING_ULPS = 4
+ROUNDING_SAMPLES = 40
+
+
+def exact_para(mp, n, g, h, t):
+    """|cos((4g/h) sin(t h/2))|^N at mpmath's working precision."""
+    g, h, t = mp.mpf(g), mp.mpf(h), mp.mpf(t)
+    return abs(mp.cos(4 * g / h * mp.sin(t * h / 2))) ** n
+
+
+def exact_dia(mp, ensemble, s_d, g, h_t, t):
+    """prod_d [1 - sin^2(theta_f) (1 - sin^2(theta_d) sin^2(phi_d - phi_f))]^S_d
+    at mpmath's working precision."""
+    g, h_t, t = mp.mpf(g), mp.mpf(h_t), mp.mpf(t)
+    sin2_f = mp.sin(4 * g / h_t * mp.sin(t * h_t / 2)) ** 2
+    phi_f = t * h_t / 2 + mp.pi / 2
+    return mp.fprod(
+        (1 - sin2_f * (1 - mp.sin(theta) ** 2 * mp.sin(phi - phi_f) ** 2)) ** mp.mpf(s_d)
+        for theta, phi in zip(ensemble.theta, ensemble.phi)
+    )
+
+
+EXACT = {"para": exact_para, "dia": exact_dia}
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "bench-sweep"])
+def test_sampled_cells_round_like_the_40_digit_closed_forms(name):
+    # Checks rounding, not physics: the 40-digit values share the closed
+    # forms' assumptions, which the Dicke-space and ED oracles check.
+    mpmath = pytest.importorskip("mpmath")
+    if name == "bench-sweep":
+        configs, result = (BENCH_SWEEP,), run_scenario(BENCH_SWEEP)
+    else:
+        configs, result = preset_config(name), run_preset(name)
+    rng = np.random.default_rng(15)
+    with mpmath.workdps(40):
+        for cfg in configs:
+            prefix = f"{cfg.label}_" if len(configs) > 1 else ""
+            bound = ROUNDING_ULPS * cfg.n * np.finfo(float).eps
+            for written, form, args in closed_form_traces(cfg, result, prefix):
+                for k in rng.choice(len(written), ROUNDING_SAMPLES, replace=False).tolist():
+                    row = [a[k] if isinstance(a, np.ndarray) else a for a in args]
+                    value = EXACT[form](mpmath.mp, *row)
+                    error = float(abs(written[k] - value) / value)
+                    assert error <= bound, (cfg.label, form, k, written[k], error)
 
 
 def fig4_fast_quench_config() -> DiaConfig:

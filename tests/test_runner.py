@@ -285,6 +285,30 @@ def test_criterion_4_sign_turns_on_the_paramagnetic_field():
     assert g_low == g_high == pytest.approx(0.2714, abs=1e-4)
 
 
+def test_criterion_4_follows_its_second_order_predictor():
+    # ln(1 - x) ~ -x turns both closed forms into Gaussians in g:
+    # E_para = (N/2)(4g/h)^2 sin^2(th/2) and
+    # E_dia = (N/2)(4g/h_t)^2 sin^2(t h_t/2) A(t), with
+    # A(t) = mean_d[1 - sin^2 theta_d sin^2(phi_d - phi_f)], phi_f = t h_t/2 + pi/2.
+    # exp(-E_dia) - exp(-E_para) is then the whole fig5 difference table.
+    (cfg,) = preset_config("fig5")
+    res = run_preset("fig5")
+    table = res.tables["sweep"]
+    g, t, diff = (table.column(name) for name in ("g", "t_elapsed", "difference"))
+    schedule = cfg.schedule()
+    h_t = field_at(schedule, freeze_out_time(schedule) + cfg.t0_offset + t)
+    ens = res.ensembles["sweep"]
+    theta, phi = np.array(ens.theta)[:, None], np.array(ens.phi)[:, None]
+    phi_f = t * h_t / 2 + np.pi / 2
+    tilt = np.mean(1.0 - np.sin(theta) ** 2 * np.sin(phi - phi_f) ** 2, axis=0)
+    e_para = cfg.n / 2 * (4 * g / cfg.h_para) ** 2 * np.sin(t * cfg.h_para / 2) ** 2
+    e_dia = cfg.n / 2 * (4 * g / h_t) ** 2 * np.sin(t * h_t / 2) ** 2 * tilt
+    predicted = np.exp(-e_dia) - np.exp(-e_para)
+    assert np.max(np.abs(predicted - diff)) <= 1e-3
+    clear = np.abs(diff) > 1e-3
+    assert np.array_equal(np.sign(predicted[clear]), np.sign(diff[clear]))
+
+
 def test_sweep_run_is_g_major():
     cfg = ScenarioConfig(
         mode="sweep-g", g_sweep_min=0.05, g_sweep_max=0.1, g_sweep_points=3,

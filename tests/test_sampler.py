@@ -162,15 +162,27 @@ def prefix_fsum_draw(n_d, m0z, mdz, seed, realization=0):
     return cosines, rng.integers(0, 2, size=n_d).tolist(), clamped or cosines[-1] != last
 
 
-@pytest.mark.parametrize("m0z, mdz, seed", [(0.3594, 0.3632, 7), (0.49, -0.3, 12345)])
-def test_large_draw_matches_a_prefix_fsum_reference(m0z, mdz, seed):
-    # The sampler keeps the running sum as an exact expansion; recentring on
+@pytest.mark.parametrize(
+    "n_d, m0z, mdz, seed, clamps",
+    [
+        (2500, 0.3594, 0.3632, 7, False),
+        (2500, 0.49, -0.3, 12345, True),
+        (2500, 0.0, 0.3, 3, False),  # the sum cancels
+        (1, 0.3594, 0.3632, 7, False),
+        (2, 0.0, 0.25, 11, False),
+        (12, 0.0, 0.3632, 1, False),
+        (12, 0.49, -0.3, 5, True),
+    ],
+    ids=["0.3594-0.3632-7", "0.49--0.3-12345", "sum-cancels", "n1", "n2", "n12", "n12-clamps"],
+)
+def test_large_draw_matches_a_prefix_fsum_reference(n_d, m0z, mdz, seed, clamps):
+    # The sampler keeps the running sum as one exact integer; recentring on
     # math.fsum of the whole prefix at every step must give the same bytes.
-    cosines, bits, clamped = prefix_fsum_draw(2500, m0z, mdz, seed, realization=3)
+    cosines, bits, clamped = prefix_fsum_draw(n_d, m0z, mdz, seed, realization=3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ens = sample_initial_directions(2500, m0z, mdz, seed=seed, realization=3)
-    assert ens.clamped == clamped == (mdz < 0)
+        ens = sample_initial_directions(n_d, m0z, mdz, seed=seed, realization=3)
+    assert ens.clamped == clamped == clamps
     assert ens.theta == tuple(math.acos(c) for c in cosines)
     assert ens.phi == tuple(
         0.0 if t in (0.0, math.pi) else math.pi * b for t, b in zip(ens.theta, bits)

@@ -76,7 +76,9 @@ def test_omega_angles_equal_the_scalar_route_bit_for_bit():
     # included, or the kernels stop repeating the per-point arithmetic
     omega = awkward_omegas()
     assert np.signbit(omega.real).any() and np.signbit(omega.imag).any()
-    theta, phi_plus, phi_minus = omega_angles(omega)
+    theta, phases = omega_angles(omega)
+    assert phases.shape == (2,) + omega.shape
+    phi_plus, phi_minus = phases
     plus = [ScsDirection.from_omega(w) for w in omega]
     minus = [ScsDirection.from_omega(w) for w in -omega]
     assert np.array_equal(bits(theta), bits([d.theta for d in plus]))
