@@ -10,7 +10,10 @@ Concurrence follows Wootters' spin-flip construction.  The closed-form
 dynamics of the paramagnetic and frozen-domain regimes are validated here
 against an independent route: exact Dicke-space branch states with all
 complex phases kept, assembled into the overlap Gram matrix and pushed
-through the same Wootters evaluation.
+through the same Wootters evaluation.  The oracle writes each branch
+displacement itself, in the closed forms' arithmetic, so an error in a
+closed form's displacement shows as a deviation instead of passing into
+both routes.
 """
 
 from __future__ import annotations
@@ -113,11 +116,13 @@ def _para_overlap_matrices(cfg: para_mod.ParaConfig, times):
     """Exact branch Gram matrix for the paramagnetic regime at each time.
 
     Branch ring states are products of identical spin-1/2 coherent states
-    displaced by pi_gamma * l(t); overlaps come from the Dicke summation
-    with full phases and are raised to the ring power N.
+    displaced by pi_gamma * l(t), l(t) = (g/h)(1 - e^(-i t h)); overlaps
+    come from the Dicke summation with full phases and are raised to the
+    ring power N.
     """
     for t in times:
-        ell = para_mod.displacement_parameter(cfg, t)
+        ht = np.multiply(cfg.h, t)
+        ell = (cfg.g / cfg.h) * (1.0 - (np.cos(ht) - 1j * np.sin(ht)))
         vecs = [d[:, 0] for d in _branch_displacements(ell, 0.5)]
         yield np.array([[np.vdot(va, vb) ** cfg.n for vb in vecs] for va in vecs])
 
@@ -129,6 +134,7 @@ def _dia_overlap_matrices(cfg: dia_mod.DiaConfig, times):
     initial displacement (once per domain), branch displacement, and the
     field phase exp(i t h_t M) are all dense matrix operations, so composition
     phases survive into the Gram entries (they cancel only where they must).
+    The branch displacement is f(t) = (g/h_t)(e^(i t h_t) - 1).
     """
     s_d = cfg.partition.s_d
     initial = [
@@ -137,7 +143,8 @@ def _dia_overlap_matrices(cfg: dia_mod.DiaConfig, times):
     ]
     for t in times:
         h_t = field_at(cfg.schedule, cfg.t0 + t)
-        f = dia_mod.displacement_parameter(cfg.g, h_t, t)
+        th = np.multiply(t, h_t)
+        f = (cfg.g / h_t) * ((np.cos(th) - 1.0) + 1j * np.sin(th))
         field_phase = np.exp(1j * t * h_t * dicke_m_values(s_d))
         branches = [
             [field_phase * (rotor @ psi0) for psi0 in initial]

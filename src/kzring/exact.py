@@ -1,4 +1,7 @@
-"""Brute-force reference dynamics on the full register-plus-ring Hilbert space.
+"""The spin-1/2 ring: its Hamiltonian, lowest eigenpairs and exact dynamics.
+
+The ring alone serves the sampler's magnetization lookup; the ring coupled
+to the register serves the exact-dynamics oracle.
 
 The total Hamiltonian couples a two-qubit register (A, B) to a periodic
 chain of N spin-1/2 sites:
@@ -34,31 +37,19 @@ import numpy as np
 
 from .errors import ConfigError, StepControlError
 from .scaling import QuenchSchedule, field_at
-from .scs import (
-    ScsDirection,
-    dicke_vector,
-    displacement_matrix,
-    ladder_matrices,
-    overlap_magnitude,
-    rotation_matrix,
-)
 
 __all__ = [
     "HamiltonianSpec",
     "RingGroundState",
-    "CrossCheckReport",
     "DEVICE_PARITY",
     "ring_hamiltonian",
     "lowest_eigenpairs",
     "magnetization_diagonal",
     "build_hamiltonian",
-    "separable_state",
-    "all_up_ring",
     "ground_state_ring",
     "propagate",
     "reduced_device_state",
     "device_states_constant_field",
-    "scs_cross_check",
 ]
 
 MAX_RING_SITES = 16
@@ -192,20 +183,6 @@ def build_hamiltonian(spec: HamiltonianSpec, t: float = 0.0) -> np.ndarray:
     return _full_sparse(spec, field_value(spec, t)).toarray()
 
 
-def separable_state(device_amplitudes, ring_state) -> np.ndarray:
-    """Product state register (x) ring as a full-space vector."""
-    d = np.asarray(device_amplitudes, dtype=complex).reshape(4)
-    r = np.asarray(ring_state, dtype=complex).ravel()
-    return np.kron(d, r)
-
-
-def all_up_ring(n: int) -> np.ndarray:
-    """Ring state with every spin up (the h -> infinity ground state)."""
-    v = np.zeros(1 << n, dtype=complex)
-    v[0] = 1.0
-    return v
-
-
 @dataclass(frozen=True)
 class RingGroundState:
     """Ground state of the ring sector; `degenerate` flags a closed gap."""
@@ -336,72 +313,3 @@ def device_states_constant_field(
         phases = np.exp(-1j * np.outer(times, vals))
         out[:, a * r.size : (a + 1) * r.size] = (phases * coeff) @ vecs.T
     return out
-
-
-@dataclass(frozen=True)
-class CrossCheckReport:
-    """Deviations between matrix-exponential and closed-form coherent-state rules."""
-
-    dicke_deviation: float
-    bloch_deviation: float
-    overlap_deviation: float
-    homomorphism_deviation: float
-
-    @property
-    def max_deviation(self) -> float:
-        return max(
-            self.dicke_deviation,
-            self.bloch_deviation,
-            self.overlap_deviation,
-            self.homomorphism_deviation,
-        )
-
-
-def _bloch_expectation(psi: np.ndarray, s: float) -> np.ndarray:
-    sp_, sm, m = ladder_matrices(s)
-    sx = 0.5 * (sp_ + sm)
-    sy = -0.5j * (sp_ - sm)
-    return np.array(
-        [
-            np.real(np.vdot(psi, sx @ psi)),
-            np.real(np.vdot(psi, sy @ psi)),
-            np.real(np.vdot(psi, m * psi)),
-        ]
-    ) / float(s)
-
-
-def scs_cross_check(
-    d1: ScsDirection, s: float, d2: ScsDirection | None = None
-) -> CrossCheckReport:
-    """Validate the coherent-state algebra against dense matrix exponentials.
-
-    Checks, for spin s: the displaced highest-weight state against the
-    Dicke-basis closed form; its Bloch vector against both the direction and
-    the rotation-matrix image of the pole; and, when a second direction is
-    given, the displaced-state overlap modulus against the half-angle power
-    law plus the rotation/displacement homomorphism on that state.
-    """
-    u1 = displacement_matrix(d1, s)
-    psi1 = u1[:, 0].copy()
-    dev_dicke = float(np.max(np.abs(psi1 - dicke_vector(d1, s))))
-    b1 = _bloch_expectation(psi1, s)
-    pole = np.array([0.0, 0.0, 1.0])
-    dev_bloch = max(
-        float(np.max(np.abs(b1 - d1.bloch()))),
-        float(np.max(np.abs(b1 - rotation_matrix(d1) @ pole))),
-    )
-    dev_overlap = 0.0
-    dev_hom = 0.0
-    if d2 is not None:
-        psi2 = displacement_matrix(d2, s)[:, 0]
-        dev_overlap = abs(abs(np.vdot(psi1, psi2)) ** 2 - overlap_magnitude(d1, d2, s))
-        psi3 = u1 @ psi2
-        dev_hom = float(
-            np.max(np.abs(_bloch_expectation(psi3, s) - rotation_matrix(d1) @ d2.bloch()))
-        )
-    return CrossCheckReport(
-        dicke_deviation=dev_dicke,
-        bloch_deviation=dev_bloch,
-        overlap_deviation=float(dev_overlap),
-        homomorphism_deviation=dev_hom,
-    )

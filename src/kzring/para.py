@@ -79,18 +79,15 @@ class ParaConfig:
             )
 
 
-def _displacements(g, h: float, t):
-    """l(t) for a coupling g, or an array of couplings broadcast against t."""
-    ht = np.multiply(h, t)
-    return (g / h) * (1.0 - (np.cos(ht) - 1j * np.sin(ht)))
-
-
-def displacement_parameter(cfg: ParaConfig, t):
+def displacement_parameter(g, h: float, t):
     """Accumulated per-spin displacement l(t) = (g/h)(1 - e^(-i t h)).
 
-    Complex for a scalar t, a complex array for an array of times.
+    Complex for scalar arguments, a complex array for an array of couplings
+    or times, broadcast together; the time factors are computed once for
+    all g.
     """
-    return _displacements(cfg.g, cfg.h, t)
+    ht = np.multiply(h, t)
+    return (g / h) * (1.0 - (np.cos(ht) - 1j * np.sin(ht)))
 
 
 def _overlaps(configs: tuple[ParaConfig, ...], times: np.ndarray) -> np.ndarray:
@@ -100,7 +97,7 @@ def _overlaps(configs: tuple[ParaConfig, ...], times: np.ndarray) -> np.ndarray:
     """
     first = configs[0]
     g = np.array([c.g for c in configs])[:, None]
-    ell = _displacements(g, first.h, times.reshape(-1)).reshape(-1)
+    ell = displacement_parameter(g, first.h, times.reshape(-1)).reshape(-1)
     plus, minus = bloch_vectors(*omega_angles(ell))
     out = (plus[:, None, :] @ minus[:, :, None])[:, 0, 0]
     del plus, minus

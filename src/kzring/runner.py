@@ -29,7 +29,6 @@ from . import para as para_mod
 from .concurrence import closed_form_check
 from .config import ScenarioConfig
 from .errors import ConfigError
-from .exact import scs_cross_check
 from .sampler import (
     DomainEnsemble,
     ensemble_mean_magnetization,
@@ -37,7 +36,7 @@ from .sampler import (
     sample_initial_directions,
 )
 from .scaling import QuenchSchedule, domain_partition, field_at, freeze_out_time
-from .scs import ScsDirection, overlap_exact, overlap_magnitude
+from .scs import ScsDirection, overlap_exact, overlap_magnitude, scs_cross_check
 from .tables import DataTable, emit_csv
 
 __all__ = [
@@ -274,7 +273,7 @@ def oracle_report(cfg: ScenarioConfig | None = None) -> DataTable:
         for _ in range(10):
             d1 = ScsDirection(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             d2 = ScsDirection(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            dev_scs = max(dev_scs, scs_cross_check(d1, s, d2).max_deviation)
+            dev_scs = max(dev_scs, scs_cross_check(d1, s, d2))
     dev_overlap = 0.0
     for s in (0.5, 5.0, 30.0):
         for _ in range(50):
@@ -383,13 +382,12 @@ def emit_plot_script(keys, label: str, mode: str, path: str) -> None:
             "unset multiplot",
         ]
     elif mode == "sweep-g":
-        name = files.get("sweep", next(iter(files.values())))
         lines += [
             "set xlabel 'g'",
             "set ylabel 't - t0'",
             "set cblabel 'concurrence difference'",
             "set view map",
-            f"plot {name} using 1:2:5 with image",
+            f"plot {files['sweep']} using 1:2:5 with image",
         ]
     else:
         lines += ["set xlabel 't - t0'", "set ylabel 'concurrence'"]

@@ -94,9 +94,10 @@ def _ground_state_magnetization(h: float, n_ref: int) -> float:
 def equilibrium_magnetization(h: float, n_ref: int = 14) -> float:
     """Ground-state z-magnetization per spin of the n_ref-site ring at field h.
 
-    Exact diagonalization, so values land in [0, 1/2] up to rounding: h = 0
-    gives 0 by the spin-flip symmetry of the bond term, or a value of order
-    1e-16 of either sign, large h saturates to 1/2.
+    Exact diagonalization, so values land in [0, 1/2] up to rounding; large
+    h saturates to 1/2.  h = 0 gives 0.0 exactly: every state of the
+    degenerate ground doublet has <sum sz> = 0 there, and which one the
+    eigensolver returns is left to rounding.
     """
     if isinstance(n_ref, bool) or not isinstance(n_ref, numbers.Integral):
         raise ConfigError(f"reference ring size must be an integer, got {n_ref!r}")
@@ -104,6 +105,8 @@ def equilibrium_magnetization(h: float, n_ref: int = 14) -> float:
         raise ConfigError(f"reference ring size must be in [2, {MAX_RING_SITES}], got {n_ref}")
     if not math.isfinite(h) or h < 0:
         raise ConfigError(f"field must be finite and >= 0, got h={h}")
+    if h == 0:
+        return 0.0
     return _ground_state_magnetization(float(h), int(n_ref))
 
 

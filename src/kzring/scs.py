@@ -36,6 +36,7 @@ __all__ = [
     "overlap_exact",
     "ladder_matrices",
     "displacement_matrix",
+    "scs_cross_check",
     "SPIN_CAP",
 ]
 
@@ -244,8 +245,8 @@ def overlap_exact(d1: ScsDirection, d2: ScsDirection, s: float) -> complex:
 
 def ladder_matrices(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense (S+, S-, M diagonal) in the descending-M Dicke basis."""
-    n = _check_spin(s)
-    m = float(s) - np.arange(n + 1)
+    m = dicke_m_values(s)
+    n = len(m) - 1
     sm = np.zeros((n + 1, n + 1))
     for k in range(n):
         sm[k + 1, k] = math.sqrt(s * (s + 1.0) - m[k] * (m[k] - 1.0))
@@ -262,3 +263,45 @@ def displacement_matrix(d: ScsDirection, s: float) -> np.ndarray:
     sp, sm, _ = ladder_matrices(s)
     omega = d.omega
     return scipy.linalg.expm(omega * sm - np.conj(omega) * sp)
+
+
+def _bloch_expectation(psi: np.ndarray, s: float) -> np.ndarray:
+    sp_, sm, m = ladder_matrices(s)
+    sx = 0.5 * (sp_ + sm)
+    sy = -0.5j * (sp_ - sm)
+    return np.array(
+        [
+            np.real(np.vdot(psi, sx @ psi)),
+            np.real(np.vdot(psi, sy @ psi)),
+            np.real(np.vdot(psi, m * psi)),
+        ]
+    ) / float(s)
+
+
+def scs_cross_check(d1: ScsDirection, s: float, d2: ScsDirection | None = None) -> float:
+    """Worst deviation between the coherent-state rules and dense matrix
+    exponentials.
+
+    Checks, for spin s: the displaced highest-weight state against the
+    Dicke-basis closed form; its Bloch vector against both the direction and
+    the rotation-matrix image of the pole; and, when a second direction is
+    given, the displaced-state overlap modulus against the half-angle power
+    law plus the rotation/displacement homomorphism on that state.
+    """
+    u1 = displacement_matrix(d1, s)
+    psi1 = u1[:, 0].copy()
+    b1 = _bloch_expectation(psi1, s)
+    pole = np.array([0.0, 0.0, 1.0])
+    deviations = [
+        np.abs(psi1 - dicke_vector(d1, s)),
+        np.abs(b1 - d1.bloch()),
+        np.abs(b1 - rotation_matrix(d1) @ pole),
+    ]
+    if d2 is not None:
+        psi2 = displacement_matrix(d2, s)[:, 0]
+        moved = _bloch_expectation(u1 @ psi2, s)
+        deviations += [
+            abs(abs(np.vdot(psi1, psi2)) ** 2 - overlap_magnitude(d1, d2, s)),
+            np.abs(moved - rotation_matrix(d1) @ d2.bloch()),
+        ]
+    return max(float(np.max(dev)) for dev in deviations)

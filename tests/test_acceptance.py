@@ -17,13 +17,12 @@ from kzring.exact import (
     device_states_constant_field,
     ground_state_ring,
     reduced_device_state,
-    scs_cross_check,
 )
 from kzring.para import ParaConfig, concurrences as para_concurrences
 from kzring.runner import reference_dia_config, run_preset
 from kzring.sampler import ensemble_mean_magnetization, sample_initial_directions
 from kzring.scaling import QuenchSchedule, correlation_length, domain_partition, epsilon_at, freeze_out_time
-from kzring.scs import ScsDirection, overlap_exact, overlap_magnitude
+from kzring.scs import ScsDirection, overlap_exact, overlap_magnitude, scs_cross_check
 
 
 def report(num, ok, detail, elapsed, budget):
@@ -150,7 +149,7 @@ def test_criterion_7_scs_algebra_exactness():
         for _ in range(25):
             d1 = ScsDirection(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             d2 = ScsDirection(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            worst_cross = max(worst_cross, scs_cross_check(d1, s, d2).max_deviation)
+            worst_cross = max(worst_cross, scs_cross_check(d1, s, d2))
     worst_overlap = 0.0
     for s in (0.5, 5.0, 30.0):
         for _ in range(334):

@@ -363,7 +363,7 @@ def para_point_replay(cfg: para.ParaConfig, t) -> np.ndarray:
     ScsDirection route (math.atan2), dot their Bloch vectors, take the
     half-angle cosine and raise it to N with Python's float ** int.
     """
-    ell = para.displacement_parameter(cfg, t)
+    ell = para.displacement_parameter(cfg.g, cfg.h, t)
     out = np.empty(len(t))
     for k, lk in enumerate(ell):
         plus = ScsDirection.from_omega(lk).bloch()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kzring import concurrence as concurrence_mod
+from kzring import concurrence as concurrence_mod, dia
 from kzring.concurrence import (
     DeviceState,
     closed_form_check,
@@ -127,3 +127,15 @@ def test_the_oracles_build_each_dicke_state_once(monkeypatch, config, times, bui
 def test_closed_form_check_rejects_unknown_setting():
     with pytest.raises(ValueError):
         closed_form_check("bogus", [0.0])
+
+
+def test_the_dicke_oracle_catches_a_phase_error_in_the_closed_form(monkeypatch):
+    # The oracle writes f itself, so a closed form whose phase t h_t runs
+    # 1e-9 fast no longer carries the oracle with it: measured 7.388e-10
+    # against 9.793e-12 unmutated, past the check's 1e-10 tolerance.
+    kernel_f = dia.displacement_parameter
+    monkeypatch.setattr(
+        dia, "displacement_parameter",
+        lambda g, h_t, t: kernel_f(g, h_t, np.multiply(t, 1.0 + 1e-9)),
+    )
+    assert closed_form_check(reference_dia_config(), np.linspace(0, 1, 200)) > 1e-10

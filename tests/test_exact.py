@@ -1,7 +1,5 @@
 """Exact-diagonalization oracle for the full model."""
 
-import math
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +9,6 @@ from kzring.concurrence import DeviceState, wootters_concurrence
 from kzring.errors import StepControlError
 from kzring.exact import (
     HamiltonianSpec,
-    all_up_ring,
     build_hamiltonian,
     device_states_constant_field,
     ground_state_ring,
@@ -19,12 +16,9 @@ from kzring.exact import (
     propagate,
     reduced_device_state,
     ring_hamiltonian,
-    scs_cross_check,
-    separable_state,
 )
 from kzring.para import ParaConfig, concurrences as para_concurrences
 from kzring.scaling import QuenchSchedule
-from kzring.scs import ScsDirection
 
 
 def bell_vector():
@@ -93,7 +87,8 @@ def test_two_site_ring_ground_energy():
 
 def test_ground_state_polarizes_at_large_field():
     gs = ground_state_ring(HamiltonianSpec(n=8, g=0.0, field=50.0))
-    fidelity = abs(np.vdot(gs.vector, all_up_ring(8))) ** 2
+    # every spin up, basis index 0, is the h -> infinity ground state
+    fidelity = abs(gs.vector[0]) ** 2
     assert fidelity > 0.999
     assert not gs.degenerate
 
@@ -133,7 +128,7 @@ def test_ground_state_energy_is_the_rayleigh_quotient():
 def test_propagate_preserves_norm_and_matches_eigendecomposition():
     n, h, g = 6, 2.0, 0.05
     ring0 = ground_state_ring(HamiltonianSpec(n=n, g=0.0, field=h)).vector
-    psi0 = separable_state(bell_vector(), ring0)
+    psi0 = np.kron(bell_vector(), ring0)
     spec = HamiltonianSpec(n=n, g=g, field=h)
     out = propagate(psi0, spec, (0.0, 0.5), dt=0.01)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-10
@@ -146,7 +141,7 @@ def test_propagate_preserves_norm_and_matches_eigendecomposition():
 def test_propagate_keeps_product_form_at_zero_coupling():
     n = 5
     ring0 = ground_state_ring(HamiltonianSpec(n=n, g=0.0, field=2.0)).vector
-    psi0 = separable_state(bell_vector(), ring0)
+    psi0 = np.kron(bell_vector(), ring0)
     spec = HamiltonianSpec(n=n, g=0.0, field=2.0)
     out = propagate(psi0, spec, (0.0, 0.7), dt=0.01)
     rho = reduced_device_state(out)
@@ -157,7 +152,7 @@ def test_propagate_keeps_product_form_at_zero_coupling():
 def test_step_control_rejects_coarse_quench_steps():
     n, g = 4, 0.05
     ring0 = ground_state_ring(HamiltonianSpec(n=n, g=0.0, field=1.2)).vector
-    psi0 = separable_state(bell_vector(), ring0)
+    psi0 = np.kron(bell_vector(), ring0)
     spec = HamiltonianSpec(n=n, g=g, field=QuenchSchedule(h0=1.2, v=0.04))
     with pytest.raises(StepControlError):
         propagate(psi0, spec, (0.0, 1.0), dt=0.1)
@@ -166,7 +161,7 @@ def test_step_control_rejects_coarse_quench_steps():
 def test_quench_concurrence_converges_under_step_halving():
     n, g = 4, 0.05
     ring0 = ground_state_ring(HamiltonianSpec(n=n, g=0.0, field=1.2)).vector
-    psi0 = separable_state(bell_vector(), ring0)
+    psi0 = np.kron(bell_vector(), ring0)
     spec = HamiltonianSpec(n=n, g=g, field=QuenchSchedule(h0=1.2, v=0.04))
     coarse = propagate(psi0, spec, (0.0, 1.0), dt=0.01, check_step=False)
     fine = propagate(psi0, spec, (0.0, 1.0), dt=0.005, check_step=False)
@@ -176,8 +171,8 @@ def test_quench_concurrence_converges_under_step_halving():
 
 
 def test_reduced_state_of_separable_input_is_pure():
-    ring0 = all_up_ring(6)
-    psi = separable_state(bell_vector(), ring0)
+    ring0 = np.eye(1, 1 << 6)[0]  # every spin up
+    psi = np.kron(bell_vector(), ring0)
     rho = reduced_device_state(psi)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
@@ -203,23 +198,6 @@ def test_weak_coupling_concurrence_tracks_closed_form():
         devs[g] = np.max(np.abs(exact - closed))
     assert devs[0.02] < 0.02
     assert devs[0.02] / devs[0.01] >= 2.0
-
-
-def test_scs_cross_check_is_exact_at_the_pole():
-    report = scs_cross_check(ScsDirection(0.0, 0.0), 2.0)
-    assert report.max_deviation < 1e-14
-
-
-def test_scs_cross_check_random_directions():
-    rng = np.random.default_rng(5)
-    for s in (0.5, 5.0):
-        for _ in range(5):
-            d1 = ScsDirection(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            d2 = ScsDirection(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            report = scs_cross_check(d1, s, d2)
-            assert report.max_deviation < 1e-10
-            assert report.overlap_deviation is not None
-            assert report.homomorphism_deviation is not None
 
 
 def test_spec_validation():

@@ -116,6 +116,16 @@ def test_the_config_module_imports_only_errors_and_scaling():
     assert kzring_imports("config") == {"errors", "scaling"}
 
 
+def test_exact_holds_the_ring_alone():
+    import kzring.exact
+    import kzring.para
+
+    assert kzring_imports("exact") == {"errors", "scaling"}
+    gone = {"CrossCheckReport", "scs_cross_check", "separable_state", "all_up_ring"}
+    assert not gone & set(dir(kzring.exact))
+    assert not hasattr(kzring.para, "_displacements")
+
+
 def test_the_csv_text_module_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("kzring._csvtext")

@@ -72,4 +72,4 @@ def test_traced_attributes_still_resolve():
     import kzring.sampler
 
     assert kzring.sampler.ring_hamiltonian is kzring.exact.ring_hamiltonian
-    assert kzring.runner.scs_cross_check is kzring.exact.scs_cross_check
+    assert kzring.runner.scs_cross_check is kzring.scs.scs_cross_check

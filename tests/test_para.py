@@ -31,15 +31,15 @@ def test_config_enforces_weak_coupling():
 
 def test_displacement_starts_at_zero_and_peaks_at_half_period():
     cfg = ParaConfig(n=8, g=0.05, h=2.0)
-    assert displacement_parameter(cfg, 0.0) == 0.0
-    peak = displacement_parameter(cfg, math.pi / cfg.h)
+    assert displacement_parameter(cfg.g, cfg.h, 0.0) == 0.0
+    peak = displacement_parameter(cfg.g, cfg.h, math.pi / cfg.h)
     assert abs(peak) == pytest.approx(2.0 * cfg.g / cfg.h)
 
 
 def test_branch_directions_are_opposite_displacements():
     cfg = ParaConfig(n=8, g=0.05, h=2.0)
     t = 0.37
-    l = displacement_parameter(cfg, t)
+    l = displacement_parameter(cfg.g, cfg.h, t)
     d_plus = ScsDirection.from_omega(l)
     d_minus = ScsDirection.from_omega(-l)
     assert d_plus.omega == pytest.approx(l)

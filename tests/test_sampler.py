@@ -3,13 +3,18 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kzring
 from kzring.errors import ConfigError
 from kzring.exact import MAX_RING_SITES, magnetization_diagonal, ring_hamiltonian
 from kzring.sampler import (
@@ -20,6 +25,8 @@ from kzring.sampler import (
 )
 
 targets = st.floats(-0.35, 0.35)
+
+KZRING_ROOT = str(Path(kzring.__file__).resolve().parent.parent)
 
 
 def test_mean_polarization_hits_target_exactly():
@@ -256,6 +263,54 @@ def test_equilibrium_magnetization_matches_a_dense_reference():
         for h in (0.0, 0.5, 1.0, 8.0):
             vec = np.linalg.eigh(ring_hamiltonian(n, h).toarray())[1][:, 0]
             assert abs(equilibrium_magnetization(h, n_ref=n) - vec @ (mz * vec) / n) <= 1e-13
+
+
+def free_fermion_magnetization(h, n):
+    """Pfeuty's m_z per spin of the n-site ring at field h, spin-1/2 units.
+
+    m_z = 1/2 mean_k (G - J cos k) / sqrt(J^2 + G^2 - 2 J G cos k) over the
+    antiperiodic momenta k = pi (2m + 1) / n, with J = 1/4 and G = h / 2.
+    """
+    cos_k = np.cos(math.pi * (2 * np.arange(n) + 1) / n)
+    j, gamma = 0.25, 0.5 * h
+    energy = np.sqrt(j * j + gamma * gamma - 2 * j * gamma * cos_k)
+    return 0.5 * float(np.mean((gamma - j * cos_k) / energy))
+
+
+FF_FIELDS = (0.1, 0.3, 0.5, 0.5005, 0.545, 1.0, 2.5)
+
+
+def test_equilibrium_magnetization_is_the_free_fermion_value():
+    # the lookup's ED against Pfeuty's closed form, bound 1e-14 stated
+    # before measuring (measured at most 4.3e-15, at n = 15, with BLAS
+    # threads unpinned, and 3.9e-15, at n = 14, on one thread); the two
+    # largest rings, slowest to diagonalize, at two fields only
+    cases = [(n, h) for n in range(2, 15) for h in FF_FIELDS]
+    cases += [(n, h) for n in (15, 16) for h in (0.5005, 2.5)]
+    worst = max(
+        abs(equilibrium_magnetization(h, n_ref=n) - free_fermion_magnetization(h, n))
+        for n, h in cases
+    )
+    assert worst <= 1e-14
+
+
+def test_zero_field_magnetization_repeats_across_processes():
+    # the h = 0 ground doublet is degenerate; every state in it has
+    # <sum sz> = 0, which the lookup now returns without diagonalizing
+    script = (
+        "from kzring.sampler import equilibrium_magnetization as m\n"
+        "print(repr([m(0.0, n_ref=n) for n in (2, 7, 14)]))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    rest = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = KZRING_ROOT + (os.pathsep + rest if rest else "")
+    outs = {
+        subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        for _ in range(3)
+    }
+    assert outs == {"[0.0, 0.0, 0.0]\n"}
 
 
 def test_equilibrium_magnetization_regression_value():

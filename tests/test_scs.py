@@ -16,6 +16,7 @@ from kzring.scs import (
     overlap_exact,
     overlap_magnitude,
     rotation_matrix,
+    scs_cross_check,
 )
 
 angles = st.floats(0.0, math.pi, allow_nan=False)
@@ -212,3 +213,16 @@ def test_spin_values_must_be_half_integers():
         dicke_vector(d, 0.7)
     with pytest.raises(ValueError):
         overlap_magnitude(d, d, -1.0)
+
+
+def test_scs_cross_check_is_exact_at_the_pole():
+    assert scs_cross_check(ScsDirection(0.0, 0.0), 2.0) < 1e-14
+
+
+def test_scs_cross_check_random_directions():
+    rng = np.random.default_rng(5)
+    for s in (0.5, 5.0):
+        for _ in range(5):
+            d1 = ScsDirection(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            d2 = ScsDirection(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            assert scs_cross_check(d1, s, d2) < 1e-10
